@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except TrainingDiverged as e:
-        print(f"error: training diverged at step {e.step} (loss {e.loss})", file=sys.stderr)
+        print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)

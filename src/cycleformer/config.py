@@ -2,8 +2,10 @@
 
 One flat file drives a whole run. Unknown keys are hard errors so a typo
 cannot silently fall back to a default. `use_gate`/`use_zero_token` accept
-"auto" (resolve by variant); `exit_threshold` accepts "none" (fixed-depth
-inference); every key except `corpus_path` has a default.
+"auto" (resolve by variant); every key except `corpus_path` has a default.
+`exit_threshold` (a number or "none") is parsed and serialized because
+existing checkpoints embed it, but nothing reads it: `eval` and `generate`
+take their exit policy from `--threshold`.
 """
 from __future__ import annotations
 

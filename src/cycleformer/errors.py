@@ -34,9 +34,17 @@ class CheckpointVersionError(CheckpointError):
 
 
 class TrainingDiverged(CycleformerError, RuntimeError):
-    """Loss became non-finite during training."""
+    """Loss or a parameter gradient became non-finite during training.
 
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at step {step}")
+    `param` names the parameter whose gradient was non-finite; None means
+    the loss itself was.
+    """
+
+    def __init__(self, step: int, loss: float, param: str | None = None):
+        if param is None:
+            message = f"non-finite loss {loss!r} at step {step}"
+        else:
+            message = f"non-finite gradient for parameter {param!r} at step {step} (loss {loss!r})"
+        super().__init__(message)
         self.step = step
         self.loss = loss

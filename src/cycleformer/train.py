@@ -174,6 +174,14 @@ def _log_step(metrics, step, plan, per_exit, telemetry: CycleTelemetry, lr):
     metrics.flush()
 
 
+def _check_grads_finite(params: dict[str, Tensor], step: int, loss: float) -> None:
+    """Raise TrainingDiverged before a non-finite gradient reaches the
+    optimizer, whose moments would otherwise carry it into every later step."""
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingDiverged(step, loss, param=name)
+
+
 def train(
     config: ModelConfig,
     plan: TrainPlan,
@@ -225,7 +233,8 @@ def train(
                 per_exit_acc = [x / plan.grad_accum for x in per_exit]
             else:
                 per_exit_acc = [a + x / plan.grad_accum for a, x in zip(per_exit_acc, per_exit)]
-            telemetry = res.telemetry
+            telemetry.records += res.telemetry.records
+        _check_grads_finite(optimizer.params, step, step_loss)
         optimizer.step(lr)
         losses.append(step_loss)
         if metrics is not None and (step % plan.log_interval == 0 or step == plan.steps - 1):

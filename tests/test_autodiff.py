@@ -170,6 +170,36 @@ def test_gelu_fixed_points():
     np.testing.assert_allclose(got, [0.0, 100.0, 0.0], atol=1e-6)
 
 
+def _gelu_f64(x):
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * x**3))
+    value = 0.5 * x * (1.0 + t)
+    slope = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x * x)
+    return value, slope
+
+
+def test_gelu_float32_tape_and_decode_kernels_are_bitwise_equal():
+    x = np.random.default_rng(3).normal(scale=3.0, size=(7, 33)).astype(np.float32)
+    got = ad.gelu(tensor(x)).data
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, ad.gelu_np(x))
+
+
+def test_gelu_float32_matches_float64_reference():
+    x64 = np.concatenate([np.linspace(-12.0, 12.0), [-100.0, 100.0]])
+    value, slope = _gelu_f64(x64)
+    x = parameter(x64, dtype=np.float32)
+    with Tape() as tape:
+        y = ad.gelu(x)
+        loss = ad.sum_all(y)
+    backward(tape, loss)
+    assert y.data.dtype == np.float32 and x.grad.dtype == np.float32
+    # atol: where tanh saturates, float32 rounds 1 + t (and 1 - t^2) to 0
+    # while float64 keeps a tail below 1e-6.
+    np.testing.assert_allclose(y.data, value, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(x.grad, slope, rtol=1e-6, atol=1e-6)
+
+
 def test_sigmoid_range_and_symmetry():
     x = np.linspace(-20, 20, 41)
     s = ad.sigmoid(tensor(x, dtype=np.float64)).data

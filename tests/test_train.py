@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from cycleformer import autodiff as ad
 from cycleformer.autodiff import Tape
-from cycleformer.data import make_synthetic_corpus
+from cycleformer.data import BatchPlan, make_synthetic_corpus, next_batch
 from cycleformer.errors import ConfigError, TrainingDiverged
 from cycleformer.model import ModelConfig, forward, init_parameters
 from cycleformer.optim import AdamW
+import cycleformer.train as train_mod
 from cycleformer.train import (
     METRICS_HEADER,
     MetricsWriter,
@@ -216,6 +217,52 @@ def test_nan_loss_aborts_with_step():
     with pytest.raises(TrainingDiverged) as exc:
         train(cfg, plan, tiny_corpus(), params=params)
     assert exc.value.step == 0
+
+
+def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
+    cfg = tiny_config()
+    params = init_parameters(cfg, seed=0)
+    optimizer = AdamW(params.named())
+    before = {k: t.data.copy() for k, t in params.named().items()}
+    real_backward = train_mod.backward
+
+    def backward_with_nan(tape, loss):
+        real_backward(tape, loss)
+        params.record(1).w1.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(train_mod, "backward", backward_with_nan)
+    plan = TrainPlan(steps=3, batch=2, seed=0)
+    with pytest.raises(TrainingDiverged, match="gradient") as exc:
+        train(cfg, plan, tiny_corpus(), params=params, optimizer=optimizer)
+    assert exc.value.step == 0
+    assert math.isfinite(exc.value.loss)
+    assert optimizer.t == 0
+    for name, t in params.named().items():
+        np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+        assert not optimizer.m[name].any() and not optimizer.v[name].any()
+
+
+def test_grad_accum_logs_telemetry_of_every_micro_batch(tmp_path):
+    cfg = tiny_config()
+    ids = tiny_corpus(seed=2)
+    plan = TrainPlan(steps=1, batch=2, grad_accum=2, seed=3, log_interval=1)
+    path = os.fspath(tmp_path / "metrics.csv")
+    with MetricsWriter(path) as metrics:
+        train(cfg, plan, ids, metrics=metrics)
+    header = METRICS_HEADER.split(",")
+    rows = [dict(zip(header, r.split(","))) for r in open(path).read().splitlines()[1:]]
+    logged = {int(r["cycle"]): float(r["zero_attn_mean"]) for r in rows if r["cycle"]}
+
+    params = init_parameters(cfg, seed=plan.seed)
+    bp = BatchPlan(seq_len=cfg.t_max, batch=plan.batch, seed=plan.seed)
+    per_micro = [
+        forward(next_batch(bp, ids, micro)[0], params, cfg, capture_exits=True)
+        .telemetry.zero_attn_by_cycle()
+        for micro in range(2)
+    ]
+    assert logged.keys() == per_micro[0].keys()
+    for cycle, z in logged.items():
+        assert z == pytest.approx((per_micro[0][cycle] + per_micro[1][cycle]) / 2, rel=1e-5)
 
 
 def test_exit_weight_count_must_match_exits():
