@@ -20,6 +20,7 @@ import numpy as np
 from .autodiff import gelu_np, layer_norm_np, softmax_np
 from .errors import ConfigError, UsageError
 from .model import ModelConfig, ModelParameters, build_schedule
+from .telemetry import aggregate
 from .data import BOS_ID
 
 
@@ -82,21 +83,6 @@ class DecodeCache:
         self.depth = np.zeros(tm, dtype=np.int64)
         self.n_pos = 0
         self.cycles_used: list[int] = []
-        cycled = set(self.schedule.cycled_layers)
-        self._cycle_slots: dict[int, list[int]] = {}
-        self._pre_slots: list[int] = []
-        self._post_slots: list[int] = []
-        for idx, (layer, cycle) in enumerate(self.schedule.applications):
-            if layer in cycled:
-                self._cycle_slots.setdefault(cycle, []).append(idx)
-            elif not self._cycle_slots:
-                self._pre_slots.append(idx)
-            else:
-                self._post_slots.append(idx)
-
-    @property
-    def grouped(self) -> bool:
-        return self.config.variant in ("HTC", "ZTT") and self.config.use_zero_token
 
 
 def _run_slot(cache: DecodeCache, slot_idx: int, pos: int, h: np.ndarray):
@@ -152,7 +138,7 @@ def _ensure_prefix_depth(cache: DecodeCache, upto: int, target: int) -> None:
         while cache.depth[p] < target:
             n = int(cache.depth[p]) + 1
             h = cache.h_mid[p].copy()
-            for s in cache._cycle_slots[n]:
+            for s in cache.schedule.by_cycle[n]:
                 h, _ = _run_slot(cache, s, p, h)
             cache.h_mid[p] = h
             cache.depth[p] = n
@@ -170,8 +156,8 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
     fixed policies always run the full schedule.
     """
     policy = policy or ExitPolicy()
-    config = cache.config
-    if policy.adaptive and not cache.grouped:
+    config, schedule = cache.config, cache.schedule
+    if policy.adaptive and not config.supports_adaptive_exit:
         raise ConfigError(
             "adaptive exit needs zero-token attention on a head-tail cycled variant"
         )
@@ -179,31 +165,29 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
     if t >= config.t_max:
         raise UsageError(f"context is full at t_max={config.t_max} positions")
     h = _embed(cache, token_id, t)
-    n_cycles = config.loop_count if config.variant != "V" else 1
-    if not cache.grouped:
-        for s in range(len(cache.schedule.applications)):
+    n_cycles = config.n_exits
+    used = n_cycles
+    if not config.supports_adaptive_exit:
+        for s in range(len(schedule.applications)):
             h, _ = _run_slot(cache, s, t, h)
-        used = n_cycles
         cache.depth[t] = n_cycles
     else:
-        for s in cache._pre_slots:
+        for s in schedule.pre:
             h, _ = _run_slot(cache, s, t, h)
         trace: list[float] = []
-        used = n_cycles
         for n in range(1, n_cycles + 1):
             _ensure_prefix_depth(cache, t, n)
             zvals = []
-            for s in cache._cycle_slots[n]:
+            for s in schedule.by_cycle[n]:
                 h, zmean = _run_slot(cache, s, t, h)
                 zvals.append(zmean)
-            agg = zvals[-1] if policy.aggregation == "last" else sum(zvals) / len(zvals)
-            trace.append(agg)
+            trace.append(aggregate(zvals, policy.aggregation))
             cache.h_mid[t] = h
             cache.depth[t] = n
             if should_exit(trace, policy):
                 used = n
                 break
-        for s in cache._post_slots:
+        for s in schedule.post:
             h, _ = _run_slot(cache, s, t, h)
     logits = _lm_logits_single(cache.params, h)
     cache.n_pos += 1

@@ -22,6 +22,7 @@ at the destination path.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, model_config, parse_run_config, serialize_run_config
-from .errors import CheckpointError, CheckpointMagicError, CheckpointVersionError
+from .errors import CheckpointError, CheckpointMagicError, CheckpointVersionError, ConfigError
 from .model import ModelConfig, ModelParameters, init_parameters
 from .optim import AdamW
 
@@ -72,7 +73,10 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.buf):
-            raise CheckpointError(f"{self.path}: truncated at byte {self.off}")
+            raise CheckpointError(
+                f"{self.path}: truncated at byte {self.off} "
+                f"({n} bytes wanted, {len(self.buf) - self.off} left)"
+            )
         out = self.buf[self.off : self.off + n]
         self.off += n
         return out
@@ -83,27 +87,42 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
+    def text(self) -> str:
+        at = self.off
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{self.path}: invalid UTF-8 text at byte {at}") from None
+
 
 def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
+    try:
+        with open(path, "rb") as fh:
+            r = _Reader(fh.read(), path)
+    except FileNotFoundError:
+        raise  # a missing file is a usage error, not a bad checkpoint
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read: {e.strerror}") from None
     magic = r.take(4)
     if magic != MAGIC:
         raise CheckpointMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     version = r.u32()
     if version != VERSION:
         raise CheckpointVersionError(f"{path}: version {version}, this build reads {VERSION}")
-    config_text = r.take(r.u32()).decode("utf-8")
+    config_text = r.text()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text()
         code, ndim = r.u8(), r.u8()
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {code}")
         dims = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
         dt = _CODE_DTYPES[code]
-        count = int(np.prod(dims)) if ndim else 1
-        data = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(dims)
+        raw = r.take(math.prod(dims) * dt.itemsize)  # Python ints: no overflow
+        try:
+            data = np.frombuffer(raw, dtype=dt).reshape(dims)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: tensor {name!r} has unusable dims {dims}: {e}") from None
         tensors[name] = data.copy()  # writable, C-order, shape preserved
     if r.off != len(r.buf):
         raise CheckpointError(f"{path}: {len(r.buf) - r.off} trailing bytes")
@@ -146,8 +165,11 @@ class LoadedModel:
 
 def load_model(path: str) -> LoadedModel:
     config_text, tensors = load_checkpoint(path)
-    rc = parse_run_config(config_text)
-    cfg = model_config(rc)
+    try:
+        rc = parse_run_config(config_text)
+        cfg = model_config(rc)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: embedded config is invalid: {e}") from None
     optim_state = {k: v for k, v in tensors.items() if k.startswith(OPTIM_PREFIX)}
     weights = {k: v for k, v in tensors.items() if not k.startswith(OPTIM_PREFIX)}
     if "tok_emb" not in weights:

@@ -16,7 +16,8 @@ import numpy as np
 from .adaptive import ExitPolicy
 from .config import RunConfig, model_config
 from .errors import ConfigError, DataError
-from .model import ModelConfig, ModelParameters, build_schedule, forward, param_count
+from .model import ModelConfig, ModelParameters, forward, param_count
+from .telemetry import CycleTelemetry, aggregate
 from .train import plan_from_run, train
 
 
@@ -72,20 +73,10 @@ def _nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - picked
 
 
-def _position_traces(res, config: ModelConfig, aggregation: str) -> np.ndarray:
+def _position_traces(telemetry: CycleTelemetry, aggregation: str) -> np.ndarray:
     """(B, T, N) zero-attention aggregate per position and cycle."""
-    schedule = build_schedule(config)
-    cycled = set(schedule.cycled_layers)
-    by_cycle: dict[int, list[int]] = {}
-    for idx, (layer, cycle) in enumerate(schedule.applications):
-        if layer in cycled:
-            by_cycle.setdefault(cycle, []).append(idx)
-    per_cycle = []
-    for c in range(1, config.loop_count + 1):
-        # weights: (B, heads, T, T+1); column 0 is the zero slot
-        apps = [res.activations.steps[i].weights[:, :, :, 0].mean(axis=1) for i in by_cycle[c]]
-        per_cycle.append(apps[-1] if aggregation == "last" else np.mean(apps, axis=0))
-    return np.stack(per_cycle, axis=-1)
+    per_cycle = telemetry.values_by_cycle("zero_attn_pos").values()
+    return np.stack([aggregate(apps, aggregation) for apps in per_cycle], axis=-1)
 
 
 def evaluate(
@@ -99,7 +90,7 @@ def evaluate(
     """Score every full window of `ids` at teacher-forced positions."""
     policy = policy or ExitPolicy()
     adaptive = policy.adaptive
-    if adaptive and not (config.variant in ("HTC", "ZTT") and config.use_zero_token):
+    if adaptive and not config.supports_adaptive_exit:
         raise ConfigError(
             "adaptive evaluation needs zero-token attention on a head-tail cycled variant"
         )
@@ -122,7 +113,7 @@ def evaluate(
         windows = range(start, min(start + batch, n_win))
         inputs = np.stack([ids[w * t : w * t + t] for w in windows])
         targets = np.stack([ids[w * t + 1 : w * t + t + 1] for w in windows])
-        res = forward(inputs, params, config, capture_exits=True, capture_activations=adaptive)
+        res = forward(inputs, params, config, capture_exits=True)
         toks = targets.size
         per_exit = np.stack([_nll(e.data, targets) for e in res.exit_logits])
         nll_sum += per_exit.sum(axis=(1, 2))
@@ -131,7 +122,7 @@ def evaluate(
         for cycle, g in res.telemetry.gate_by_cycle().items():
             gate_sum[cycle] = gate_sum.get(cycle, 0.0) + g * toks
         if adaptive:
-            traces = _position_traces(res, config, policy.aggregation)
+            traces = _position_traces(res.telemetry, policy.aggregation)
             n = config.loop_count
             # first cycle at or past threshold; 0-based exit index, full depth if none
             crossed = traces >= policy.threshold

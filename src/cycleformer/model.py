@@ -17,7 +17,7 @@ the shape the vanilla-to-cycled retrofit produces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class ModelConfig:
             raise ConfigError(
                 f"variant {self.variant} needs all_layers >= 3 (head + middle + tail), got {self.all_layers}"
             )
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
+        if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} must be a positive multiple of n_heads {self.n_heads}"
             )
@@ -92,19 +92,31 @@ class ModelConfig:
     def n_exits(self) -> int:
         return 1 if self.variant == "V" else self.loop_count
 
+    @property
+    def supports_adaptive_exit(self) -> bool:
+        """A zero token yields the halting signal, and a shared tail can
+        finish the stream after any cycle."""
+        return self.variant in ("HTC", "ZTT") and self.use_zero_token
+
 
 @dataclass(frozen=True)
 class CycleSchedule:
     """Flattened application order: (layer, cycle) pairs plus cycle boundaries.
 
-    exit_points[n-1] is the application index that completes cycle n; the last
-    entry for head-tail variants is followed by the tail, so the final network
-    output doubles as the last exit.
+    by_cycle[n] lists the indices of the applications that make up cycle n,
+    in order; `pre` and `post` are the indices before the first and after the
+    last cycled application (the head and tail of head-tail variants; every
+    application of V is in `pre`). exit_points[n-1] is the application index
+    that completes cycle n; for head-tail variants the last one is followed
+    by the tail, so the final network output doubles as the last exit.
     """
 
     applications: tuple[tuple[int, int], ...]
     exit_points: tuple[int, ...]
     cycled_layers: tuple[int, ...]
+    by_cycle: dict[int, tuple[int, ...]]
+    pre: tuple[int, ...]
+    post: tuple[int, ...]
 
     def layers(self) -> list[int]:
         return [l for l, _ in self.applications]
@@ -115,20 +127,23 @@ def build_schedule(config: ModelConfig) -> CycleSchedule:
     cycled = config.cycled_layers
     if config.variant == "V":
         apps = [(i, 1) for i in range(1, l + 1)]
-        exits = [len(apps) - 1]
     elif config.variant == "BC":
         apps = [(i, c) for c in range(1, n + 1) for i in range(1, l + 1)]
-        exits = [c * l - 1 for c in range(1, n + 1)]
     else:
-        apps = [(1, 1)]
-        exits = []
-        for c in range(1, n + 1):
-            apps.extend((i, c) for i in range(2, l))
-            exits.append(len(apps) - 1)
-        apps.append((l, 1))
+        apps = [(1, 1), *((i, c) for c in range(1, n + 1) for i in range(2, l)), (l, 1)]
     expected = l - len(cycled) + len(cycled) * n if cycled else l
     assert len(apps) == expected, (len(apps), expected)
-    return CycleSchedule(tuple(apps), tuple(exits), cycled)
+    by_cycle: dict[int, tuple[int, ...]] = {}
+    for idx, (layer, cycle) in enumerate(apps):
+        if layer in cycled:
+            by_cycle[cycle] = by_cycle.get(cycle, ()) + (idx,)
+    if not by_cycle:
+        return CycleSchedule(tuple(apps), (len(apps) - 1,), cycled, {}, tuple(range(len(apps))), ())
+    first, last = by_cycle[1][0], by_cycle[n][-1]
+    exits = tuple(by_cycle[c][-1] for c in range(1, n + 1))
+    return CycleSchedule(
+        tuple(apps), exits, cycled, by_cycle, tuple(range(first)), tuple(range(last + 1, len(apps)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +391,12 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
 
 
 @dataclass
-class AppActivation:
-    layer: int
-    cycle: int
-    h_in: np.ndarray
-    weights: np.ndarray
-    gate: np.ndarray | None
-
-
-@dataclass
-class ActivationState:
-    steps: list[AppActivation] = field(default_factory=list)
-    final_hidden: np.ndarray | None = None
-
-
-@dataclass
 class ForwardResult:
     """exit_logits[-1] is always the full-depth output; earlier entries exist
     only when capture_exits was set and the variant has intermediate cycles."""
 
     exit_logits: list[Tensor]
     telemetry: CycleTelemetry
-    activations: ActivationState | None = None
 
     @property
     def logits(self) -> Tensor:
@@ -416,7 +415,6 @@ def forward(
     params: ModelParameters,
     config: ModelConfig,
     capture_exits: bool = False,
-    capture_activations: bool = False,
 ) -> ForwardResult:
     """Run the cycled stack on token ids of shape (T,) or (B, T).
 
@@ -444,16 +442,13 @@ def forward(
     h = ad.add(tok, ad.expand(ad.reshape(pos, (1, t, config.d_model)), tok.shape))
 
     telemetry = CycleTelemetry()
-    acts = ActivationState() if capture_activations else None
     exits: list[Tensor] = []
     intermediate = set(schedule.exit_points[:-1]) if capture_exits else set()
-    tail_rec = params.record(config.all_layers)
 
     for idx, (layer, cycle) in enumerate(schedule.applications):
         rec = params.record(layer)
         zkey = params.pool.get((layer, cycle)) if config.use_zero_token and layer in cycled else None
-        h_in = h.data.copy() if capture_activations else None
-        h, zattn, weights = attention_with_zero_token(
+        h, zattn, _ = attention_with_zero_token(
             h, rec, zkey, config.n_heads, mask_zero if zkey is not None else mask_plain
         )
         h, gate_np = gated_ffn(h, rec, config.use_gate)
@@ -463,12 +458,12 @@ def forward(
                 cycle,
                 float(zattn.mean()) if zattn is not None else None,
                 float(gate_np.mean()) if gate_np is not None else None,
+                zattn.mean(axis=1) if zattn is not None else None,
             )
-        if capture_activations:
-            acts.steps.append(AppActivation(layer, cycle, h_in, weights.data.copy(), gate_np))
         if idx in intermediate:
             branch = h
-            if config.variant in ("HTC", "ZTT"):
+            for tail_idx in schedule.post:
+                tail_rec = params.record(schedule.applications[tail_idx][0])
                 branch, _, _ = attention_with_zero_token(
                     branch, tail_rec, None, config.n_heads, mask_plain
                 )
@@ -476,11 +471,9 @@ def forward(
             exits.append(_lm_logits(branch, params))
 
     exits.append(_lm_logits(h, params))
-    if capture_activations:
-        acts.final_hidden = h.data.copy()
     if squeeze:
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
-    return ForwardResult(exits, telemetry, acts)
+    return ForwardResult(exits, telemetry)
 
 
 # ---------------------------------------------------------------------------

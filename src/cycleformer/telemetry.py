@@ -3,7 +3,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UsageError
+import numpy as np
+
+
+def aggregate(values, aggregation: str = "mean"):
+    """A cycle's halting signal from its applications' values, in order:
+    "mean" averages them, "last" takes the one applied last (the ablation)."""
+    return values[-1] if aggregation == "last" else sum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -11,53 +17,43 @@ class CycleRecord:
     """One cycled application: which layer, which cycle, what it measured.
 
     zero_attn is the slot-0 attention weight averaged over batch, heads and
-    query positions (None when the variant has no zero token); gate is the
-    mean FFN gate (None when gating is off).
+    query positions, and zero_attn_pos the same weight averaged over heads
+    only, shape (B, T); both are None when the variant has no zero token.
+    gate is the mean FFN gate (None when gating is off).
     """
 
     layer: int
     cycle: int
     zero_attn: float | None
     gate: float | None
+    zero_attn_pos: np.ndarray | None = None
 
 
 @dataclass
 class CycleTelemetry:
     records: list[CycleRecord] = field(default_factory=list)
 
-    def add(self, layer: int, cycle: int, zero_attn: float | None, gate: float | None) -> None:
-        self.records.append(CycleRecord(layer, cycle, zero_attn, gate))
+    def add(
+        self,
+        layer: int,
+        cycle: int,
+        zero_attn: float | None,
+        gate: float | None,
+        zero_attn_pos: np.ndarray | None = None,
+    ) -> None:
+        self.records.append(CycleRecord(layer, cycle, zero_attn, gate, zero_attn_pos))
 
-    def cycles(self) -> list[int]:
-        return sorted({r.cycle for r in self.records})
+    def values_by_cycle(self, name: str) -> dict[int, list]:
+        """Each cycle's non-None values of one record field, in record order."""
+        out: dict[int, list] = {}
+        for r in self.records:
+            value = getattr(r, name)
+            if value is not None:
+                out.setdefault(r.cycle, []).append(value)
+        return dict(sorted(out.items()))
 
     def zero_attn_by_cycle(self) -> dict[int, float]:
-        return {
-            c: cycle_zero_attention(self, c)
-            for c in self.cycles()
-            if any(r.cycle == c and r.zero_attn is not None for r in self.records)
-        }
+        return {c: aggregate(v) for c, v in self.values_by_cycle("zero_attn").items()}
 
     def gate_by_cycle(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for c in self.cycles():
-            vals = [r.gate for r in self.records if r.cycle == c and r.gate is not None]
-            if vals:
-                out[c] = sum(vals) / len(vals)
-        return out
-
-
-def cycle_zero_attention(telemetry: CycleTelemetry, cycle: int, aggregation: str = "mean") -> float:
-    """Aggregate a cycle's zero-attention across its cycled layers.
-
-    "mean" averages every cycled layer in the cycle; "last" takes the layer
-    applied last (the halting-signal ablation).
-    """
-    recs = [r for r in telemetry.records if r.cycle == cycle and r.zero_attn is not None]
-    if not recs:
-        raise UsageError(f"no zero-attention records for cycle {cycle}")
-    if aggregation == "mean":
-        return sum(r.zero_attn for r in recs) / len(recs)
-    if aggregation == "last":
-        return recs[-1].zero_attn
-    raise UsageError(f"unknown aggregation {aggregation!r}")
+        return {c: aggregate(v) for c, v in self.values_by_cycle("gate").items()}

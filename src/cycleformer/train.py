@@ -165,12 +165,9 @@ class TrainResult:
 def _log_step(metrics, step, plan, per_exit, telemetry: CycleTelemetry, lr):
     for i, loss in enumerate(per_exit, start=1):
         metrics.row(step, "train", exit_index=i, loss=loss, ppl=math.exp(min(loss, 30.0)), lr=lr)
-    for cycle, z in telemetry.zero_attn_by_cycle().items():
-        gate = telemetry.gate_by_cycle().get(cycle)
-        metrics.row(step, "train", cycle=cycle, zero_attn=z, gate=gate, lr=lr)
-    if not telemetry.zero_attn_by_cycle():
-        for cycle, gate in telemetry.gate_by_cycle().items():
-            metrics.row(step, "train", cycle=cycle, gate=gate, lr=lr)
+    zattn, gates = telemetry.zero_attn_by_cycle(), telemetry.gate_by_cycle()
+    for cycle in zattn or gates:
+        metrics.row(step, "train", cycle=cycle, zero_attn=zattn.get(cycle), gate=gates.get(cycle), lr=lr)
     metrics.flush()
 
 

@@ -38,6 +38,7 @@ from cycleformer.optim import AdamW
 from cycleformer.train import TrainPlan, multi_exit_loss, train
 
 from gradcheck import check_grads
+from stepper import step_applications
 from test_model import _uniform_rows_hidden, _zkey_for_logit
 
 TESTS = Path(__file__).resolve().parent
@@ -187,7 +188,7 @@ def test_criterion_02_zero_token_identities(announce):
     htc = init_parameters(htc_cfg, seed=13, dtype=np.float64)
     htc.pos_emb.data[...] = 0.0
     ids = np.full(6, 3)
-    base = forward(ids, htc, htc_cfg, capture_activations=True)
+    base = forward(ids, htc, htc_cfg)
     ztt_cfg = ModelConfig(
         variant="ZTT", all_layers=l, loop_count=n, d_model=d, n_heads=heads,
         d_ff=32, vocab=11, t_max=8, use_gate=False,
@@ -196,7 +197,7 @@ def test_criterion_02_zero_token_identities(announce):
     for name, t in htc.named().items():
         ztt.named()[name].data[...] = t.data
     ztt.pos_emb.data[...] = 0.0
-    for step in base.activations.steps:
+    for step in step_applications(ids, htc, htc_cfg):
         if step.layer in ztt_cfg.cycled_layers:
             key = _zkey_for_logit(step.h_in[0, 0], ztt.record(step.layer), heads, -40.0)
             ztt.pool[(step.layer, step.cycle)].data[...] = key

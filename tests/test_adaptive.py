@@ -3,11 +3,14 @@
 The cache invariant under test: because positions are deepened lazily in
 position order, every middle-cycle K/V entry equals the value a full batch
 forward would produce, so per-position exit traces and the hidden states
-entering the tail can be read off one batch forward with activations
-captured. The tail is the one heterogeneous part (each position's entry comes
-from its own exit depth), so the oracle recomputes it by hand per position.
+entering the tail can be read off one batch pass that steps the schedule
+application by application. The tail is the one heterogeneous part (each
+position's entry comes from its own exit depth), so the oracle recomputes it
+by hand per position.
 """
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +26,12 @@ from cycleformer.adaptive import (
     should_exit,
 )
 from cycleformer.autodiff import layer_norm_np, softmax_np, gelu_np
-from cycleformer.data import BOS_ID
+from cycleformer.checkpoint import load_model
+from cycleformer.data import BOS_ID, ByteVocabulary
 from cycleformer.errors import ConfigError, UsageError
 from cycleformer.model import ModelConfig, build_schedule, forward, init_parameters
+
+from stepper import step_applications
 
 PINNED_TRACE = [0.21, 0.47, 0.54, 0.65]
 
@@ -120,6 +126,27 @@ def test_fixed_decode_matches_batch_forward(variant, l, n):
         assert cache.cycles_used == [n if variant != "V" else 1] * t
 
 
+FIXED = Path(__file__).resolve().parent.parent / "perfbench" / "fixed"
+
+
+def test_full_decode_matches_forward_on_fixed_checkpoint():
+    # The benchmark's decode oracle (tolerance 1e-5) over every pool prompt of
+    # the committed float32 checkpoint, so a numerics slip in the decode
+    # kernels fails here rather than in a benchmark run.
+    loaded = load_model(str(FIXED / "ztt_canonical.ckpt"))
+    cfg, params = loaded.config, loaded.params
+    meta = json.loads((FIXED / "ztt_canonical.json").read_text())
+    valid = ByteVocabulary().encode((FIXED / "ztt_canonical_valid.bin").read_bytes())
+    seqs = np.stack([
+        np.concatenate([valid[start : start + length], ref])[: cfg.t_max]
+        for (start, length), ref in zip(meta["prompt_pool"], meta["reference_tokens"]["adaptive"])
+    ])
+    assert params.dtype() == np.float32 and seqs.shape == (64, cfg.t_max)
+    want = forward(seqs, params, cfg).logits.data
+    got = np.stack([decode_logits(params, cfg, ids)[0] for ids in seqs])
+    assert float(np.abs(got - want).max()) <= 1e-5
+
+
 def test_decode_rejects_overfull_context():
     cfg, params = make_model(t_max=4)
     cache = DecodeCache(params, cfg)
@@ -142,22 +169,17 @@ def test_adaptive_needs_zero_token_head_tail(variant, l, n):
 
 
 def batch_oracle(params, cfg, ids, threshold, aggregation="mean"):
-    """Per-position exit depths and logits, derived from one batch forward."""
-    res = forward(ids, params, cfg, capture_activations=True)
-    apps = build_schedule(cfg).applications
-    cycled = set(build_schedule(cfg).cycled_layers)
+    """Per-position exit depths and logits, derived from one batch pass."""
+    steps = step_applications(ids, params, cfg)
+    by_cycle = build_schedule(cfg).by_cycle
     t = len(ids)
-    by_cycle: dict[int, list[int]] = {}
-    for idx, (layer, cycle) in enumerate(apps):
-        if layer in cycled:
-            by_cycle.setdefault(cycle, []).append(idx)
     n = cfg.loop_count
 
     traces = []
     for pos in range(t):
         trace = []
         for c in range(1, n + 1):
-            per_app = [res.activations.steps[i].weights[0, :, pos, 0].mean() for i in by_cycle[c]]
+            per_app = [steps[i].weights[0, :, pos, 0].mean() for i in by_cycle[c]]
             trace.append(per_app[-1] if aggregation == "last" else float(np.mean(per_app)))
         traces.append(trace)
     depths = [exit_cycle(tr, threshold) or n for tr in traces]
@@ -165,7 +187,7 @@ def batch_oracle(params, cfg, ids, threshold, aggregation="mean"):
     # hidden state entering the tail = batch hidden right after the exit cycle,
     # i.e. the input of the application that follows that cycle's last app
     tail_in = np.stack(
-        [res.activations.steps[by_cycle[d][-1] + 1].h_in[0, pos] for pos, d in zip(range(t), depths)]
+        [steps[by_cycle[d][-1] + 1].h_in[0, pos] for pos, d in zip(range(t), depths)]
     )
 
     rec = params.record(cfg.all_layers)
@@ -246,7 +268,7 @@ def test_depth_bookkeeping_and_slot_fill():
     depth = cache.depth[: cache.n_pos]
     for pos, used in enumerate(cache.cycles_used):
         assert depth[pos] >= used  # later positions may deepen, never shallow
-    for cycle, slots in cache._cycle_slots.items():
+    for cycle, slots in cache.schedule.by_cycle.items():
         expect = int(np.sum(depth >= cycle))
         for s in slots:
             assert cache.slots[s].filled == expect
@@ -261,7 +283,7 @@ def test_tail_entries_never_revised():
     cache = DecodeCache(params, cfg)
     for tok in ids[:6]:
         decode_step(cache, int(tok), ExitPolicy(threshold=thr))
-    tail_slot = cache.slots[cache._post_slots[0]]
+    tail_slot = cache.slots[cache.schedule.post[0]]
     k_before, v_before = tail_slot.k[:6].copy(), tail_slot.v[:6].copy()
     for tok in ids[6:]:
         decode_step(cache, int(tok), ExitPolicy(threshold=thr))

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cycleformer.checkpoint import (
     MAGIC,
@@ -176,6 +178,32 @@ def test_shape_mismatch_is_detected(tmp_path):
     save_checkpoint(path, serialize_run_config(rc), tensors)
     with pytest.raises(CheckpointError):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_model_bytes(tmp_path_factory):
+    rc = RunConfig(all_layers=3, loop_count=2, d_model=8, n_heads=2, d_ff=16, vocab=11, t_max=4)
+    params = init_parameters(model_config(rc), seed=3)
+    path = os.fspath(tmp_path_factory.mktemp("fuzz") / "tiny.bin")
+    save_model(path, rc, params, AdamW(params.named()))
+    return open(path, "rb").read()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_corrupted_model_loads_or_raises_checkpoint_error(tiny_model_bytes, tmp_path_factory, data):
+    raw = bytearray(tiny_model_bytes)
+    if data.draw(st.booleans(), label="flip"):
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+    else:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+    path.write_bytes(bytes(raw))
+    try:
+        load_model(os.fspath(path))
+    except CheckpointError:
+        pass
 
 
 def test_resume_through_checkpoint_is_bitwise(tmp_path):

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from cycleformer.checkpoint import load_model, save_model
+from cycleformer.checkpoint import load_model, save_checkpoint, save_model
 from cycleformer.cli import main
+from cycleformer.config import RunConfig, model_config, serialize_run_config
 from cycleformer.data import make_synthetic_corpus
+from cycleformer.model import init_parameters
 from cycleformer.train import METRICS_HEADER
 
 
@@ -224,6 +226,63 @@ def test_checkpoint_errors_exit_4(workspace, capsys):
     bumped.write_bytes(bytes(raw))
     assert main(["eval", "--ckpt", os.fspath(bumped), "--data", data]) == 4
     assert "version 99" in capsys.readouterr().err
+
+
+def _tiny_checkpoint(path, config_text=None):
+    rc = RunConfig(all_layers=3, loop_count=2, d_model=8, n_heads=2, d_ff=16, t_max=8)
+    tensors = {k: t.data for k, t in init_parameters(model_config(rc)).named().items()}
+    save_checkpoint(os.fspath(path), config_text or serialize_run_config(rc), tensors)
+
+
+def _corrupt_byte(path, offset_of):
+    _tiny_checkpoint(path)
+    raw = bytearray(path.read_bytes())
+    raw[offset_of(raw)] = 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _bad_tensor_name(path):
+    # magic, version, clen, config text, tensor count, name length, name
+    _corrupt_byte(path, lambda raw: 16 + struct.unpack_from("<I", raw, 8)[0] + 4)
+
+
+def _bad_config_text(path):
+    _corrupt_byte(path, lambda raw: 12)
+
+
+def _overflowing_dims(path):
+    text = b"variant=ZTT\n"
+    path.write_bytes(b"".join([
+        b"ZTTC", struct.pack("<II", 1, len(text)), text, struct.pack("<II", 1, 1), b"w",
+        struct.pack("<BB", 0, 3), struct.pack("<3Q", *(2**32,) * 3),
+    ]))
+
+
+def _invalid_embedded_config(path):
+    _tiny_checkpoint(path, "variant=QQQ\n")
+
+
+@pytest.mark.parametrize(
+    "build,needle",
+    [
+        (_bad_tensor_name, "UTF-8"),
+        (_bad_config_text, "UTF-8"),
+        (_overflowing_dims, "truncated"),
+        (_invalid_embedded_config, "embedded config"),
+        (lambda path: path.mkdir(), "cannot read"),
+    ],
+    ids=[
+        "tensor-name-utf8", "config-text-utf8", "dims-overflow", "invalid-embedded-config",
+        "directory",
+    ],
+)
+def test_malformed_checkpoint_exits_4_naming_the_file(workspace, capsys, build, needle):
+    bad = workspace / "bad.ckpt"
+    build(bad)
+    data = os.fspath(workspace / "corpus.bin")
+    assert main(["eval", "--ckpt", os.fspath(bad), "--data", data]) == 4
+    err = capsys.readouterr().err
+    assert os.fspath(bad) in err and needle in err
 
 
 def test_missing_files_exit_2(workspace, capsys):

@@ -18,6 +18,8 @@ from cycleformer.evaluate import (
 )
 from cycleformer.model import ModelConfig, build_schedule, forward, init_parameters
 
+from stepper import step_applications
+
 
 def make_model(variant="ZTT", l=4, n=3, vocab=59, t_max=8, seed=0, dtype=np.float64, **kw):
     cfg = ModelConfig(
@@ -125,37 +127,33 @@ def test_threshold_zero_exits_first_cycle():
     assert report.adaptive.loss == report.exits[0].loss
 
 
-def test_adaptive_matches_per_position_oracle():
+@pytest.mark.parametrize("aggregation", ["mean", "last"])
+def test_adaptive_matches_per_position_oracle(aggregation):
     cfg, params = make_model(seed=3)
     ids = corpus(cfg.t_max * 2 + 1, seed=5)  # two windows, one batch
     thr = 0.3
 
-    res = forward(
-        np.stack([ids[: cfg.t_max], ids[cfg.t_max : 2 * cfg.t_max]]),
-        params, cfg, capture_exits=True, capture_activations=True,
-    )
+    inputs = np.stack([ids[: cfg.t_max], ids[cfg.t_max : 2 * cfg.t_max]])
+    res = forward(inputs, params, cfg, capture_exits=True)
+    steps = step_applications(inputs, params, cfg)
     targets = np.stack([ids[1 : cfg.t_max + 1], ids[cfg.t_max + 1 : 2 * cfg.t_max + 1]])
-    schedule = build_schedule(cfg)
-    cycled = set(schedule.cycled_layers)
-    by_cycle = {}
-    for idx, (layer, cycle) in enumerate(schedule.applications):
-        if layer in cycled:
-            by_cycle.setdefault(cycle, []).append(idx)
+    by_cycle = build_schedule(cfg).by_cycle
 
     want_nll, want_loops = [], []
     for b in range(2):
         for pos in range(cfg.t_max):
-            trace = [
-                float(np.mean([res.activations.steps[i].weights[b, :, pos, 0].mean() for i in by_cycle[c]]))
-                for c in range(1, cfg.loop_count + 1)
-            ]
+            trace = []
+            for c in range(1, cfg.loop_count + 1):
+                per_app = [steps[i].weights[b, :, pos, 0].mean() for i in by_cycle[c]]
+                trace.append(float(per_app[-1] if aggregation == "last" else np.mean(per_app)))
             n_exit = exit_cycle(trace, thr) or cfg.loop_count
             want_loops.append(n_exit)
             logits = res.exit_logits[n_exit - 1].data[b, pos].astype(np.float64)
             logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
             want_nll.append(-logp[targets[b, pos]])
 
-    report = evaluate(params, cfg, ids[: 2 * cfg.t_max + 1], policy=ExitPolicy(threshold=thr))
+    policy = ExitPolicy(threshold=thr, aggregation=aggregation)
+    report = evaluate(params, cfg, ids[: 2 * cfg.t_max + 1], policy=policy)
     assert report.adaptive.avg_loop == pytest.approx(np.mean(want_loops), abs=1e-12)
     assert report.adaptive.loss == pytest.approx(np.mean(want_nll), abs=1e-10)
     assert len(set(want_loops)) >= 2  # the threshold actually splits positions

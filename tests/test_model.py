@@ -21,6 +21,7 @@ from cycleformer.model import (
 )
 
 from gradcheck import check_grads
+from stepper import step_applications
 
 
 def tiny(variant="ZTT", l=3, n=2, d=8, heads=2, dff=16, **kw):
@@ -185,14 +186,14 @@ def test_model_level_suppression_equals_htc_on_shared_weights():
     htc = random_params(htc_cfg, seed=13)
     htc.pos_emb.data[...] = 0.0
     ids = np.full(6, 3)
-    base = forward(ids, htc, htc_cfg, capture_activations=True)
+    base = forward(ids, htc, htc_cfg)
 
     ztt_cfg = tiny("ZTT", l=l, n=n, d=d, heads=heads, use_gate=False)
     ztt = init_parameters(ztt_cfg, seed=13, dtype=np.float64)
     for name, t in htc.named().items():
         ztt.named()[name].data[...] = t.data
     ztt.pos_emb.data[...] = 0.0
-    for step in base.activations.steps:
+    for step in step_applications(ids, htc, htc_cfg):
         if step.layer in ztt_cfg.cycled_layers:
             rec = ztt.record(step.layer)
             zkey = _zkey_for_logit(step.h_in[0, 0], rec, heads, -40.0)

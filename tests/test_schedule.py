@@ -28,6 +28,29 @@ def test_pinned_bc_schedule():
     assert s.exit_points == (2, 5)
 
 
+@pytest.mark.parametrize(
+    "variant,l,n,pre,by_cycle,post",
+    [
+        ("V", 4, 1, (0, 1, 2, 3), {}, ()),
+        ("BC", 3, 2, (), {1: (0, 1, 2), 2: (3, 4, 5)}, ()),
+        ("HTC", 4, 2, (0,), {1: (1, 2), 2: (3, 4)}, (5,)),
+        ("ZTT", 5, 3, (0,), {1: (1, 2, 3), 2: (4, 5, 6), 3: (7, 8, 9)}, (10,)),
+        ("ZTT", 3, 4, (0,), {1: (1,), 2: (2,), 3: (3,), 4: (4,)}, (5,)),
+    ],
+)
+def test_pinned_cycle_groups(variant, l, n, pre, by_cycle, post):
+    s = build_schedule(cfg(variant, l, n))
+    assert s.pre == pre
+    assert s.by_cycle == by_cycle
+    assert s.post == post
+    # the groups tile the schedule, and each cycle ends at its exit point
+    assert sorted([*pre, *(i for g in by_cycle.values() for i in g), *post]) == list(
+        range(len(s.applications))
+    )
+    if by_cycle:
+        assert s.exit_points == tuple(g[-1] for g in by_cycle.values())
+
+
 def test_vanilla_schedule_is_plain_order():
     s = build_schedule(cfg("V", 5, 1))
     assert s.layers() == [1, 2, 3, 4, 5]
@@ -97,6 +120,9 @@ def test_invalid_configs_raise():
         cfg("BC", 3, 2, share_middle=True)  # sharing is a head-tail notion
     with pytest.raises(ConfigError):
         cfg("ZTT", 4, 2, d_model=30, n_heads=4)  # heads must divide d_model
+    for heads in (0, -4):  # d_model % 0 raises ZeroDivisionError; 16 % -4 == 0
+        with pytest.raises(ConfigError):
+            cfg("ZTT", 4, 2, n_heads=heads)
 
 
 def test_auto_toggles_follow_variant():
