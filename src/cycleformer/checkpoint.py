@@ -176,14 +176,7 @@ def load_model(path: str) -> LoadedModel:
         raise CheckpointError(f"{path}: no tok_emb tensor; not a model checkpoint")
     params = init_parameters(cfg, seed=0, dtype=weights["tok_emb"].dtype)
     named = params.named()
-    missing = sorted(named.keys() - weights.keys())
-    extra = sorted(weights.keys() - named.keys())
-    if missing or extra:
-        raise CheckpointError(
-            f"{path}: tensor names do not match the config"
-            + (f"; missing {missing}" if missing else "")
-            + (f"; unexpected {extra}" if extra else "")
-        )
+    _check_names(path, "tensor", named.keys(), weights.keys())
     for name, t in named.items():
         arr = weights[name]
         if arr.shape != t.data.shape:
@@ -191,4 +184,36 @@ def load_model(path: str) -> LoadedModel:
                 f"{path}: tensor {name!r} has shape {arr.shape}, config implies {t.data.shape}"
             )
         t.data[...] = arr
+    if optim_state:  # weights-only checkpoints (retrofit output) carry none
+        _check_optim_state(path, named, optim_state)
     return LoadedModel(rc, cfg, params, optim_state)
+
+
+def _check_names(path: str, what: str, expected, got) -> None:
+    missing, extra = sorted(expected - got), sorted(got - expected)
+    if missing or extra:
+        raise CheckpointError(
+            f"{path}: {what} names do not match the config"
+            + (f"; missing {missing}" if missing else "")
+            + (f"; unexpected {extra}" if extra else "")
+        )
+
+
+def _check_optim_state(path: str, named: dict, state: dict[str, np.ndarray]) -> None:
+    """A step counter that is a non-negative integer, and finite m and v of
+    each parameter's shape; anything else would resume from garbage."""
+    moments = {f"{OPTIM_PREFIX}{k}.{name}": p.data.shape for name, p in named.items() for k in "mv"}
+    _check_names(path, "optimizer state", moments.keys() | {"optim.t"}, state.keys())
+    t = state["optim.t"]
+    if t.shape != () or not np.isfinite(t) or t < 0 or t != np.floor(t):
+        raise CheckpointError(
+            f"{path}: optimizer step counter 'optim.t' must be a non-negative integer scalar, "
+            f"got {t.tolist()!r} of shape {t.shape}"
+        )
+    for key, shape in moments.items():
+        if state[key].shape != shape:
+            raise CheckpointError(
+                f"{path}: optimizer moment {key!r} has shape {state[key].shape}, parameter has {shape}"
+            )
+        if not np.isfinite(state[key]).all():
+            raise CheckpointError(f"{path}: optimizer moment {key!r} is not finite")

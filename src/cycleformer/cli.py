@@ -158,6 +158,7 @@ def cmd_eval(args) -> int:
             f"adaptive (threshold {a.threshold:g}, {policy.aggregation}): "
             f"loss {a.loss:.4f}  ppl {a.ppl:.2f}  avg_loop {a.avg_loop:.3f}"
         )
+        print("exits by cycle: " + "  ".join(f"{c}:{n}" for c, n in enumerate(a.exit_counts, 1)))
     for c in report.cycles:
         z = "" if c.zero_attn is None else f"  zero_attn {c.zero_attn:.4f}"
         g = "" if c.gate is None else f"  gate {c.gate:.4f}"

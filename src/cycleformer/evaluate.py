@@ -34,6 +34,7 @@ class AdaptiveEval:
     loss: float
     ppl: float
     avg_loop: float
+    exit_counts: tuple[int, ...]  # positions exiting at cycle 1..N
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def evaluate(
     n_exits = config.n_exits
     nll_sum = np.zeros(n_exits, dtype=np.float64)
     ada_sum = 0.0
-    loop_sum = 0.0
+    exit_counts = np.zeros(config.loop_count, dtype=np.int64)
     zattn_sum: dict[int, float] = {}
     gate_sum: dict[int, float] = {}
     n_tok = 0
@@ -128,7 +129,7 @@ def evaluate(
             crossed = traces >= policy.threshold
             chosen = np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), n - 1)
             ada_sum += per_exit[chosen, np.arange(inputs.shape[0])[:, None], np.arange(t)].sum()
-            loop_sum += float(chosen.sum()) + toks  # 1-based cycles
+            exit_counts += np.bincount(chosen.ravel(), minlength=n)
         n_tok += toks
         n_batches += 1
     exits = [
@@ -145,8 +146,10 @@ def evaluate(
     ]
     ada = None
     if adaptive:
+        loops = int(exit_counts @ np.arange(1, config.loop_count + 1))
         ada = AdaptiveEval(
-            policy.threshold, ada_sum / n_tok, _ppl(ada_sum / n_tok), loop_sum / n_tok
+            policy.threshold, ada_sum / n_tok, _ppl(ada_sum / n_tok), loops / n_tok,
+            tuple(int(c) for c in exit_counts),
         )
     return EvalReport(exits, stats, ada, n_tok, n_batches)
 

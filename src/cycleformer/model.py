@@ -232,10 +232,6 @@ class ModelParameters:
             out[f"zero_key.l{layer}.c{cycle}"] = self.pool[(layer, cycle)]
         return out
 
-    def zero_grad(self) -> None:
-        for t in self.named().values():
-            t.grad = None
-
     def dtype(self) -> np.dtype:
         return self.tok_emb.data.dtype
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import UsageError
 
 
 class AdamW:
@@ -69,14 +68,8 @@ class AdamW:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        if "optim.t" not in tensors:
-            raise UsageError("optimizer state missing step counter tensor 'optim.t'")
+        """Adopt `state_tensors` output; `checkpoint.load_model` has checked it."""
         self.t = int(tensors["optim.t"])
         for name in self.params:
-            mk, vk = f"optim.m.{name}", f"optim.v.{name}"
-            if mk not in tensors or vk not in tensors:
-                raise UsageError(f"optimizer state missing moments for parameter {name!r}")
-            if tensors[mk].shape != self.m[name].shape:
-                raise UsageError(f"optimizer moment shape mismatch for {name!r}")
-            self.m[name] = tensors[mk].astype(np.float64)
-            self.v[name] = tensors[vk].astype(np.float64)
+            self.m[name] = tensors[f"optim.m.{name}"].astype(np.float64)
+            self.v[name] = tensors[f"optim.v.{name}"].astype(np.float64)

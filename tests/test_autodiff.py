@@ -260,6 +260,21 @@ def test_no_tape_records_nothing():
     assert out.grad_needed is False
 
 
+def test_constants_and_dead_branches_keep_no_grad():
+    # A constant input gets no gradient, and neither does a parameter whose
+    # recorded branch never reaches the loss; the branch adds nothing to w.
+    w = parameter(np.array([1.0, 2.0]), dtype=np.float64)
+    c = constant(np.array([3.0, 4.0]), dtype=np.float64)
+    unused = parameter(np.array([5.0, 6.0]), dtype=np.float64)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(w, c))
+        ad.mul(w, unused)
+    backward(tape, loss)
+    np.testing.assert_array_equal(w.grad, [3.0, 4.0])
+    assert c.grad is None
+    assert unused.grad is None
+
+
 def test_grads_flow_through_branches():
     # A value feeding two consumers gets both contributions.
     w = parameter(np.array([1.0, 2.0]), dtype=np.float64)
@@ -358,11 +373,14 @@ def test_concat_narrow_expand_gradcheck():
         "zk": parameter(rng.normal(size=(1, 1, 3)), dtype=np.float64),
     }
 
+    mask = np.array([[0.5], [-1.0]])  # broadcasts over the leading and last axes
+
     def f():
         zk = ad.expand(params["zk"], (2, 1, 3))
         cat = ad.concat([zk, params["a"]], axis=1)
         sub = ad.narrow(cat, 1, 0, 2)
-        return ad.sum_all(ad.mul(sub, sub))
+        masked = ad.add_const(sub, mask)
+        return ad.sum_all(ad.mul(masked, masked))
 
     failures = check_grads(f, params, rng=np.random.default_rng(17))
     assert not failures, "\n".join(failures)

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from cycleformer.checkpoint import load_model, save_checkpoint, save_model
+import cycleformer
+from cycleformer.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from cycleformer.cli import main
 from cycleformer.config import RunConfig, model_config, serialize_run_config
 from cycleformer.data import make_synthetic_corpus
@@ -134,6 +135,8 @@ def test_eval_reports(workspace, capsys):
     assert main(["eval", "--ckpt", ckpt, "--data", data, "--threshold", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "adaptive (threshold 0.5" in out and "avg_loop" in out
+    counts = out.split("exits by cycle: ")[1].splitlines()[0].split()
+    assert [c.split(":")[0] for c in counts] == ["1", "2"]
 
 
 def test_eval_threshold_none_and_bad_value(workspace, capsys):
@@ -285,6 +288,54 @@ def test_malformed_checkpoint_exits_4_naming_the_file(workspace, capsys, build, 
     assert os.fspath(bad) in err and needle in err
 
 
+def _set(name, value):
+    def edit(tensors):
+        tensors[name] = np.asarray(value, dtype=np.float64)
+    return edit
+
+
+def _inf_moment(tensors):
+    tensors["optim.m.pos_emb"] = np.full_like(tensors["optim.m.pos_emb"], np.inf)
+
+
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (_set("optim.t", np.nan), "optim.t"),
+        (_set("optim.t", -3.0), "optim.t"),
+        (_set("optim.t", 1.5), "optim.t"),
+        (_set("optim.t", [4.0, 4.0]), "optim.t"),
+        (_set("optim.v.tok_emb", np.zeros(3)), "optim.v.tok_emb"),
+        (lambda tensors: tensors.pop("optim.m.tok_emb"), "optim.m.tok_emb"),
+        (_inf_moment, "optim.m.pos_emb"),
+    ],
+    ids=["t-nan", "t-negative", "t-fractional", "t-shape", "moment-shape", "moment-missing", "moment-inf"],
+)
+def test_damaged_optimizer_state_exits_4_naming_the_file(workspace, capsys, edit, needle):
+    _, ckpt = train_small(workspace)
+    text, tensors = load_checkpoint(ckpt)
+    edit(tensors)
+    bad = os.fspath(workspace / "bad.ckpt")
+    save_checkpoint(bad, text, tensors)
+    cfg6 = write_config(workspace / "run6.cfg", corpus_path=workspace / "corpus.bin", steps=6)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg6, "--out", os.fspath(workspace / "x.ckpt"), "--resume", bad]) == 4
+    err = capsys.readouterr().err
+    assert bad in err and needle in err
+
+
+def test_checkpoint_without_optimizer_state_evaluates_and_resumes(workspace, capsys):
+    cfg, ckpt = train_small(workspace)
+    text, tensors = load_checkpoint(ckpt)
+    weights = os.fspath(workspace / "weights.ckpt")
+    save_checkpoint(weights, text, {k: v for k, v in tensors.items() if not k.startswith("optim.")})
+    data = os.fspath(workspace / "corpus.bin")
+    assert main(["eval", "--ckpt", weights, "--data", data]) == 0
+    out = os.fspath(workspace / "x.ckpt")
+    assert main(["train", "--config", cfg, "--out", out, "--resume", weights]) == 0
+    assert load_model(out).step == 4
+
+
 def test_missing_files_exit_2(workspace, capsys):
     assert main(["train", "--config", "no_such.cfg", "--out", "x.ckpt"]) == 2
     _, ckpt = train_small(workspace)
@@ -305,6 +356,9 @@ def test_subprocess_pipeline(workspace):
     cfg = write_config(workspace / "run.cfg", corpus_path=workspace / "corpus.bin")
     ckpt = os.fspath(workspace / "run.ckpt")
     env = dict(os.environ)
+    # the child imports the same sources as this process
+    src = os.path.dirname(os.path.dirname(cycleformer.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     r = subprocess.run(
         [sys.executable, "-m", "cycleformer.cli", "train", "--config", cfg, "--out", ckpt],
         capture_output=True, text=True, env=env,

@@ -118,6 +118,7 @@ def test_threshold_one_equals_final_exit_exactly():
     assert report.adaptive is not None
     assert report.adaptive.loss == report.exits[-1].loss  # same floats, same order
     assert report.adaptive.avg_loop == float(cfg.loop_count)
+    assert report.adaptive.exit_counts == (0,) * (cfg.loop_count - 1) + (report.n_tokens,)
 
 
 def test_threshold_zero_exits_first_cycle():
@@ -155,8 +156,21 @@ def test_adaptive_matches_per_position_oracle(aggregation):
     policy = ExitPolicy(threshold=thr, aggregation=aggregation)
     report = evaluate(params, cfg, ids[: 2 * cfg.t_max + 1], policy=policy)
     assert report.adaptive.avg_loop == pytest.approx(np.mean(want_loops), abs=1e-12)
+    assert report.adaptive.exit_counts == tuple(
+        want_loops.count(c) for c in range(1, cfg.loop_count + 1)
+    )
     assert report.adaptive.loss == pytest.approx(np.mean(want_nll), abs=1e-10)
     assert len(set(want_loops)) >= 2  # the threshold actually splits positions
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.3, 0.6, 1.0])
+def test_exit_counts_cover_every_token_and_weight_to_avg_loop(threshold):
+    cfg, params = make_model(seed=7)
+    report = evaluate(params, cfg, corpus(900, seed=9), policy=ExitPolicy(threshold=threshold))
+    counts = report.adaptive.exit_counts
+    assert len(counts) == cfg.loop_count and sum(counts) == report.n_tokens
+    weighted = sum(c * n for c, n in enumerate(counts, 1)) / report.n_tokens
+    assert weighted == report.adaptive.avg_loop
 
 
 def test_higher_threshold_never_lowers_avg_loop():
