@@ -4,12 +4,26 @@ Forward ops run eagerly on the arrays inside `Tensor`s. While a `Tape` is
 active (as a context manager), every primitive that touches a grad-needing
 input records its output, its inputs and a rule: a function from the output's
 gradient to one gradient per input, in input order. Rules only compute;
-`backward(tape, loss)` walks the records in exact reverse order and is the one
-place that accumulates, adding each returned gradient into the inputs that
-need one, so parameters used at several schedule positions receive the sum
-of their per-use gradients. Without an active tape the same ops are plain
+`backward(tape, loss)` consumes the records in exact reverse order and is the
+one place that accumulates, adding each returned gradient into the inputs
+that need one, so parameters used at several schedule positions receive the
+sum of their per-use gradients. Without an active tape the same ops are plain
 inference code. Only float32/float64 are supported; float32 is the training
 dtype, float64 the verification dtype for finite-difference checks.
+
+The sweep frees memory as it goes: it pops each record (dropping the rule's
+closure and the activations it holds) and takes the output's gradient off
+the tensor, so every non-leaf `grad` is None afterwards and the tape is
+empty; a tape is swept once. A first gradient is adopted as the rule returned
+it, without a copy, so a `grad` may be a view into a buffer a consumer's rule
+produced. That is safe under one aliasing contract: the gradients one rule
+returns must not overlap in memory unless they are the identical object.
+Today `concat` returns disjoint slices of its output gradient, `reshape` and
+`transpose` return views of an output gradient nobody reads after their rule,
+`add` returns its output gradient for both inputs, and every other rule
+returns fresh arrays. The sweep copies an identical object for every input
+after the first that adopts it; `add(h, h)` needs no copy, since its second
+write is `h.grad += g` with `h.grad is g`.
 """
 from __future__ import annotations
 
@@ -27,7 +41,13 @@ _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
 )
 
 class Tensor:
-    """Dense array plus grad bookkeeping. `data` is always an owned ndarray."""
+    """Dense array plus grad bookkeeping.
+
+    `data` is an ndarray, but not always an owned one: `reshape` and
+    `transpose` outputs may be views of their input's data. After `backward`, a
+    leaf's `grad` may likewise be a view into a gradient buffer produced by a
+    consumer's rule (a `transpose` of a matmul gradient, a `concat` slice).
+    """
 
     __slots__ = ("data", "grad", "grad_needed", "name")
 
@@ -74,7 +94,11 @@ def constant(data, dtype=None, name: str | None = None) -> Tensor:
 
 
 class Tape:
-    """Ordered (output, inputs, rule) records of one forward pass."""
+    """Ordered (output, inputs, rule) records of one forward pass.
+
+    `backward` pops the records as it goes, so a swept tape is empty and a
+    second `backward` on it raises `UsageError`.
+    """
 
     def __init__(self):
         self._records: list = []
@@ -93,26 +117,32 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Replay `tape` in reverse, accumulating grads into every reachable leaf."""
-    if not any(out is loss for out, _, _ in tape._records):
+    """Consume `tape` in reverse, accumulating grads into every reachable leaf.
+
+    A record's activations and its output gradient die as soon as its rule
+    has run. The module docstring states the aliasing contract that lets a
+    first gradient be adopted without a copy.
+    """
+    records = tape._records
+    if not any(out is loss for out, _, _ in records):
         raise UsageError("backward target was not produced under this tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward target must be scalar, got shape {loss.data.shape}")
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for out, inputs, rule in reversed(tape._records):
-        if out.grad is None:
+    while records:
+        out, inputs, rule = records.pop()
+        g_out, out.grad = out.grad, None
+        if g_out is None:
             continue
-        for t, g in zip(inputs, rule(out.grad), strict=True):
-            if t.grad_needed:
-                _accum(t, g)
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    # Copy on first write: g may be a view into a consumer's grad buffer.
-    if t.grad is None:
-        t.grad = np.array(g, copy=True)
-    else:
-        t.grad += g
+        given: list[np.ndarray] = []
+        for t, g in zip(inputs, rule(g_out), strict=True):
+            if not t.grad_needed:
+                continue
+            if t.grad is None:
+                t.grad = g.copy() if any(g is h for h in given) else np.asarray(g)
+            else:
+                t.grad += g
+            given.append(g)
 
 
 def _finish(out: Tensor, rule, *inputs: Tensor) -> Tensor:

@@ -36,13 +36,14 @@ def _policy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threshold",
         default=None,
-        help="zero-attention exit threshold; omit or 'none' for fixed full depth",
+        help="zero-attention exit threshold, or 'none' for fixed full depth; "
+        "omitted: the checkpoint's exit_threshold",
     )
     p.add_argument("--aggregation", choices=("mean", "last"), default="mean")
 
 
-def _parse_threshold(raw) -> float | None:
-    if raw is None or (isinstance(raw, str) and raw.lower() == "none"):
+def _parse_threshold(raw: str) -> float | None:
+    if raw.lower() == "none":
         return None
     try:
         return float(raw)
@@ -50,8 +51,14 @@ def _parse_threshold(raw) -> float | None:
         raise ConfigError(f"--threshold expects a number or 'none', got {raw!r}") from None
 
 
-def _policy(args) -> ExitPolicy:
-    return ExitPolicy(threshold=_parse_threshold(args.threshold), aggregation=args.aggregation)
+def _policy(args, rc: RunConfig) -> ExitPolicy:
+    """`--threshold` if given (None when omitted), else the checkpoint's exit_threshold."""
+    threshold = rc.exit_threshold if args.threshold is None else _parse_threshold(args.threshold)
+    return ExitPolicy(threshold=threshold, aggregation=args.aggregation)
+
+
+def _exit_histogram(counts) -> str:
+    return "exits by cycle: " + "  ".join(f"{c}:{n}" for c, n in enumerate(counts, 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +151,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     loaded = load_model(args.ckpt)
     ids = _load_ids(args.data)
-    policy = _policy(args)
+    policy = _policy(args, loaded.rc)
     report = evaluate(
         loaded.params, loaded.config, ids,
         policy=policy, batch=args.batch, max_batches=args.max_batches,
@@ -158,7 +165,7 @@ def cmd_eval(args) -> int:
             f"adaptive (threshold {a.threshold:g}, {policy.aggregation}): "
             f"loss {a.loss:.4f}  ppl {a.ppl:.2f}  avg_loop {a.avg_loop:.3f}"
         )
-        print("exits by cycle: " + "  ".join(f"{c}:{n}" for c, n in enumerate(a.exit_counts, 1)))
+        print(_exit_histogram(a.exit_counts))
     for c in report.cycles:
         z = "" if c.zero_attn is None else f"  zero_attn {c.zero_attn:.4f}"
         g = "" if c.gate is None else f"  gate {c.gate:.4f}"
@@ -173,11 +180,13 @@ def cmd_generate(args) -> int:
     prompt = vocab.encode(args.prompt.encode("utf-8"), add_bos=True)
     res = generate(
         loaded.params, loaded.config, prompt, args.max_tokens,
-        policy=_policy(args), temperature=args.temperature, seed=args.seed,
+        policy=_policy(args, loaded.rc), temperature=args.temperature, seed=args.seed,
     )
     sys.stdout.write(vocab.decode(res.ids).decode("utf-8", errors="replace"))
     sys.stdout.write("\n")
     print("cycles: " + " ".join(str(c) for c in res.cycles_used), file=sys.stderr)
+    counts = np.bincount(res.cycles_used, minlength=loaded.config.n_exits + 1)[1:]
+    print(_exit_histogram(counts), file=sys.stderr)
     return 0
 
 

@@ -3,9 +3,8 @@
 One flat file drives a whole run. Unknown keys are hard errors so a typo
 cannot silently fall back to a default. `use_gate`/`use_zero_token` accept
 "auto" (resolve by variant); every key except `corpus_path` has a default.
-`exit_threshold` (a number or "none") is parsed and serialized because
-existing checkpoints embed it, but nothing reads it: `eval` and `generate`
-take their exit policy from `--threshold`.
+`exit_threshold` (a number or "none") travels inside every checkpoint and is
+the exit policy `eval` and `generate` use when `--threshold` is omitted.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,9 @@ from .model import ModelConfig, ModelParameters, forward, init_parameters
 from .optim import AdamW
 from .telemetry import CycleTelemetry
 
-METRICS_HEADER = "step,split,exit,loss,ppl,cycle,zero_attn_mean,gate_mean,lr,avg_loop"
+METRICS_HEADER = (
+    "step,split,exit,loss,ppl,cycle,zero_attn_mean,gate_mean,lr,avg_loop,step_ms,tok_s,grad_norm"
+)
 
 
 @dataclass(frozen=True)
@@ -104,11 +107,23 @@ def multi_exit_loss(
 
 
 class MetricsWriter:
-    """Append-friendly CSV stream with one fixed header."""
+    """Append-friendly CSV stream with one fixed header.
+
+    Appending to a file whose header is not `METRICS_HEADER` (one written by
+    an older version, say) raises ConfigError instead of misaligning rows.
+    """
 
     def __init__(self, path: str, append: bool = False):
         self.path = path
         exists = os.path.exists(path) and os.path.getsize(path) > 0
+        if append and exists:
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                header = fh.readline().rstrip("\r\n")
+            if header != METRICS_HEADER:
+                raise ConfigError(
+                    f"metrics file {path} has header {header!r}, expected {METRICS_HEADER!r}; "
+                    "write to a new file"
+                )
         self._fh = open(path, "a" if append else "w", encoding="utf-8")
         if not (append and exists):
             self._fh.write(METRICS_HEADER + "\n")
@@ -133,11 +148,14 @@ class MetricsWriter:
         gate=None,
         lr=None,
         avg_loop=None,
+        step_ms=None,
+        tok_s=None,
+        grad_norm=None,
     ) -> None:
         cells = [
             str(step), split, self._fmt(exit_index), self._fmt(loss), self._fmt(ppl),
             self._fmt(cycle), self._fmt(zero_attn), self._fmt(gate), self._fmt(lr),
-            self._fmt(avg_loop),
+            self._fmt(avg_loop), self._fmt(step_ms), self._fmt(tok_s), self._fmt(grad_norm),
         ]
         self._fh.write(",".join(cells) + "\n")
 
@@ -162,13 +180,22 @@ class TrainResult:
     steps_done: int = 0
 
 
-def _log_step(metrics, step, plan, per_exit, telemetry: CycleTelemetry, lr):
+def _log_step(metrics, step, per_exit, telemetry: CycleTelemetry, **shared):
+    """Write a step's per-exit and per-cycle rows; `shared` (lr and the step's
+    timing and grad norm) goes on every row."""
     for i, loss in enumerate(per_exit, start=1):
-        metrics.row(step, "train", exit_index=i, loss=loss, ppl=math.exp(min(loss, 30.0)), lr=lr)
+        metrics.row(step, "train", exit_index=i, loss=loss, ppl=math.exp(min(loss, 30.0)), **shared)
     zattn, gates = telemetry.zero_attn_by_cycle(), telemetry.gate_by_cycle()
     for cycle in zattn or gates:
-        metrics.row(step, "train", cycle=cycle, zero_attn=zattn.get(cycle), gate=gates.get(cycle), lr=lr)
+        metrics.row(step, "train", cycle=cycle, zero_attn=zattn.get(cycle), gate=gates.get(cycle), **shared)
     metrics.flush()
+
+
+def _grad_norm(params: dict[str, Tensor]) -> float:
+    """L2 norm over every parameter gradient, summed in float64."""
+    return math.sqrt(sum(
+        float(np.square(p.grad, dtype=np.float64).sum()) for p in params.values() if p.grad is not None
+    ))
 
 
 def _check_grads_finite(params: dict[str, Tensor], step: int, loss: float) -> None:
@@ -208,7 +235,9 @@ def train(
     bp = BatchPlan(seq_len=config.t_max, batch=plan.batch, seed=plan.seed)
     end = plan.steps if stop_step is None else min(stop_step, plan.steps)
     losses: list[float] = []
+    tokens_per_step = plan.batch * plan.grad_accum * config.t_max
     for step in range(start_step, end):
+        started = time.perf_counter()
         lr = learning_rate_at(step, plan)
         optimizer.zero_grad()
         step_loss = 0.0
@@ -233,7 +262,11 @@ def train(
             telemetry.records += res.telemetry.records
         _check_grads_finite(optimizer.params, step, step_loss)
         optimizer.step(lr)
+        step_s = time.perf_counter() - started
         losses.append(step_loss)
         if metrics is not None and (step % plan.log_interval == 0 or step == plan.steps - 1):
-            _log_step(metrics, step, plan, per_exit_acc, telemetry, lr)
+            _log_step(
+                metrics, step, per_exit_acc, telemetry, lr=lr, step_ms=step_s * 1e3,
+                tok_s=tokens_per_step / step_s, grad_norm=_grad_norm(optimizer.params),
+            )
     return TrainResult(params, optimizer, losses, steps_done=end)

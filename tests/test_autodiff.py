@@ -285,6 +285,41 @@ def test_grads_flow_through_branches():
     np.testing.assert_allclose(w.grad, [6.0, 6.0], atol=1e-12)
 
 
+def test_backward_consumes_the_tape():
+    # The sweep pops every record and frees every non-leaf gradient; a swept
+    # tape cannot be replayed into the leaves a second time.
+    w = parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), dtype=np.float64)
+    x = constant(np.array([[2.0, 1.0], [-1.0, 4.0]]), dtype=np.float64)
+    with Tape() as tape:
+        h = ad.gelu(ad.matmul(x, w))
+        loss = ad.sum_all(ad.add(ad.transpose(h, (1, 0)), ad.reshape(h, (2, 2))))
+    outputs = [out for out, _, _ in tape._records]
+    backward(tape, loss)
+    assert len(tape) == 0
+    assert all(out.grad is None for out in outputs)
+    first = w.grad.copy()
+    with pytest.raises(UsageError):
+        backward(tape, loss)
+    np.testing.assert_array_equal(w.grad, first)
+
+
+def test_one_gradient_for_two_inputs_is_not_shared():
+    # `add` returns its output gradient for both inputs. `a` is also used
+    # before the add, so its gradient is written again after the add's rule
+    # ran; that write must not reach `b`'s gradient.
+    a = parameter(np.array([1.0, 2.0]), dtype=np.float64)
+    b = parameter(np.array([3.0, -1.0]), dtype=np.float64)
+    c = constant(np.array([5.0, 7.0]), dtype=np.float64)
+    with Tape() as tape:
+        early = ad.mul(a, c)
+        y = ad.add(a, b)
+        loss = ad.sum_all(ad.add(ad.scale(y, 2.0), early))
+    backward(tape, loss)
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(a.grad, [7.0, 9.0])
+    assert not np.shares_memory(a.grad, b.grad)
+
+
 # ---------------------------------------------------------------------------
 # structural ops
 

@@ -91,6 +91,20 @@ def test_resume_extends_run(workspace, capsys):
     assert open(csv).read().splitlines()[0] == METRICS_HEADER
 
 
+def test_resume_onto_metrics_with_another_header_exits_2(workspace, capsys):
+    _, ckpt = train_small(workspace)
+    csv = workspace / "old_metrics.csv"
+    old = "step,split,exit,loss,ppl,cycle,zero_attn_mean,gate_mean,lr,avg_loop\n"
+    csv.write_text(old)
+    cfg6 = write_config(workspace / "run6.cfg", corpus_path=workspace / "corpus.bin", steps=6)
+    out2 = os.fspath(workspace / "run6.ckpt")
+    code = main(["train", "--config", cfg6, "--out", out2, "--resume", ckpt, "--metrics", os.fspath(csv)])
+    assert code == 2
+    assert "old_metrics.csv" in capsys.readouterr().err
+    assert csv.read_text() == old
+    assert not os.path.exists(out2)
+
+
 def test_resume_already_complete(workspace, capsys):
     cfg, ckpt = train_small(workspace)
     out2 = os.fspath(workspace / "again.ckpt")
@@ -149,13 +163,21 @@ def test_eval_threshold_none_and_bad_value(workspace, capsys):
     assert "--threshold" in capsys.readouterr().err
 
 
+def generate_report(err):
+    """The per-token cycle list and the exit histogram `generate` prints on stderr."""
+    cycles_line, hist_line = err.strip().splitlines()
+    cycles = cycles_line.removeprefix("cycles:").split()
+    hist = [c.split(":") for c in hist_line.removeprefix("exits by cycle:").split()]
+    return cycles, {int(c): int(n) for c, n in hist}
+
+
 def test_generate_echo_and_cycles(workspace, capsys):
     _, ckpt = train_small(workspace)
     capsys.readouterr()  # drop the training banner
     assert main(["generate", "--ckpt", ckpt, "--prompt", "hello", "--max-tokens", "0"]) == 0
     cap = capsys.readouterr()
     assert cap.out == "hello\n"
-    cycles = cap.err.strip().removeprefix("cycles:").split()
+    cycles, _ = generate_report(cap.err)
     assert len(cycles) == 6  # BOS + 5 prompt bytes
     assert set(cycles) == {"2"}  # fixed policy runs every cycle
 
@@ -167,8 +189,61 @@ def test_generate_adaptive_threshold_zero(workspace, capsys):
         ["generate", "--ckpt", ckpt, "--prompt", "ab", "--max-tokens", "3", "--threshold", "0"]
     ) == 0
     cap = capsys.readouterr()
-    cycles = cap.err.strip().removeprefix("cycles:").split()
+    cycles, _ = generate_report(cap.err)
     assert len(cycles) == 6 and set(cycles) == {"1"}
+
+
+@pytest.mark.parametrize("threshold", ["0", "0.5", "none"])
+def test_generate_prints_exit_histogram(workspace, capsys, threshold):
+    _, ckpt = train_small(workspace)
+    capsys.readouterr()
+    argv = ["generate", "--ckpt", ckpt, "--prompt", "abc", "--max-tokens", "5"]
+    assert main(argv + ["--threshold", threshold]) == 0
+    cycles, hist = generate_report(capsys.readouterr().err)
+    assert list(hist) == [1, 2]
+    # every decoded token is counted once: BOS, 3 prompt bytes, 5 new tokens
+    assert sum(hist.values()) == len(cycles) == 1 + 3 + 5
+    assert hist == {c: cycles.count(str(c)) for c in (1, 2)}
+
+
+def test_threshold_defaults_to_the_checkpoint_exit_threshold(workspace, capsys):
+    _, ckpt = train_small(workspace, exit_threshold=0)
+    capsys.readouterr()
+    data = os.fspath(workspace / "corpus.bin")
+    assert main(["eval", "--ckpt", ckpt, "--data", data]) == 0
+    assert "adaptive (threshold 0," in capsys.readouterr().out
+    assert main(["generate", "--ckpt", ckpt, "--prompt", "ab", "--max-tokens", "2"]) == 0
+    cycles, hist = generate_report(capsys.readouterr().err)
+    assert set(cycles) == {"1"} and hist == {1: 5, 2: 0}
+    # an explicit value overrides the checkpoint, and 'none' forces full depth
+    assert main(["eval", "--ckpt", ckpt, "--data", data, "--threshold", "0.7"]) == 0
+    assert "adaptive (threshold 0.7," in capsys.readouterr().out
+    assert main(["eval", "--ckpt", ckpt, "--data", data, "--threshold", "none"]) == 0
+    assert "adaptive" not in capsys.readouterr().out
+    assert main(["generate", "--ckpt", ckpt, "--prompt", "ab", "--threshold", "none",
+                 "--max-tokens", "2"]) == 0
+    cycles, _ = generate_report(capsys.readouterr().err)
+    assert set(cycles) == {"2"}
+
+
+def test_threshold_unset_in_checkpoint_means_full_depth(workspace, capsys):
+    _, ckpt = train_small(workspace)  # exit_threshold=none by default
+    capsys.readouterr()
+    data = os.fspath(workspace / "corpus.bin")
+    assert main(["eval", "--ckpt", ckpt, "--data", data]) == 0
+    assert "adaptive" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant,loop_count", [("V", 1), ("BC", 2)])
+def test_checkpoint_threshold_on_a_variant_without_exit_exits_2(workspace, capsys, variant, loop_count):
+    _, ckpt = train_small(workspace, variant=variant, loop_count=loop_count, exit_threshold=0.5)
+    capsys.readouterr()
+    data = os.fspath(workspace / "corpus.bin")
+    assert main(["eval", "--ckpt", ckpt, "--data", data]) == 2
+    assert "adaptive" in capsys.readouterr().err
+    assert main(["generate", "--ckpt", ckpt, "--prompt", "ab", "--max-tokens", "1"]) == 2
+    assert "adaptive" in capsys.readouterr().err
+    assert main(["eval", "--ckpt", ckpt, "--data", data, "--threshold", "none"]) == 0
 
 
 def test_generate_capacity_error(workspace, capsys):

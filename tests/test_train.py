@@ -1,6 +1,7 @@
 """Training loop: schedule shape, loss plumbing, determinism, resume."""
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,52 @@ def test_multi_exit_loss_routes_gradient_to_every_exit():
 
 
 # ---------------------------------------------------------------------------
+# the reverse sweep on a whole model
+
+
+def _model_batch(cfg, seed=0):
+    params = init_parameters(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, cfg.vocab, size=(4, cfg.t_max))
+    targets = rng.integers(0, cfg.vocab, size=(4, cfg.t_max))
+    return params, ids, targets
+
+
+def test_parameter_gradients_never_share_memory():
+    cfg = tiny_config(d_model=32, n_heads=4, t_max=16)
+    params, ids, targets = _model_batch(cfg)
+    with Tape() as tape:
+        res = forward(ids, params, cfg, capture_exits=True)
+        loss, _ = multi_exit_loss(res.exit_logits, targets)
+    ad.backward(tape, loss)
+    grads = [(name, p.grad) for name, p in params.named().items() if p.grad is not None]
+    assert len(grads) == len(params.named())
+    for i, (name_a, ga) in enumerate(grads):
+        for name_b, gb in grads[i + 1:]:
+            assert not np.shares_memory(ga, gb), (name_a, name_b)
+
+
+def test_backward_peak_memory_stays_near_the_forward():
+    # The sweep frees each record's activations and each consumed gradient as
+    # it goes, so backward's peak sits near what the forward left alive
+    # instead of adding every gradient on top of every activation.
+    cfg = tiny_config(all_layers=4, loop_count=3, d_model=32, n_heads=4, d_ff=128, vocab=259, t_max=16)
+    params, ids, targets = _model_batch(cfg)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            res = forward(ids, params, cfg, capture_exits=True)
+            loss, _ = multi_exit_loss(res.exit_logits, targets)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * after_forward, (peak, after_forward)
+
+
+# ---------------------------------------------------------------------------
 # metrics stream
 
 
@@ -135,12 +182,25 @@ def test_metrics_header_and_append(tmp_path):
     assert len(lines) == 4
     assert all(len(line.split(",")) == len(METRICS_HEADER.split(",")) for line in lines)
     assert lines[1].startswith("0,train,1,2.5,12.18,,,")
-    assert lines[3].split(",")[-1] == "1.5"
+    assert dict(zip(METRICS_HEADER.split(","), lines[3].split(",")))["avg_loop"] == "1.5"
     # append to a fresh path still writes the header
     path2 = os.fspath(tmp_path / "m2.csv")
     with MetricsWriter(path2, append=True) as m:
         m.row(0, "train", loss=1.0)
     assert open(path2).read().splitlines()[0] == METRICS_HEADER
+
+
+def test_metrics_header_ends_with_the_timing_columns():
+    assert METRICS_HEADER.split(",")[-4:] == ["avg_loop", "step_ms", "tok_s", "grad_norm"]
+
+
+def test_metrics_append_onto_another_header_raises(tmp_path):
+    path = tmp_path / "old.csv"
+    old = "step,split,exit,loss,ppl,cycle,zero_attn_mean,gate_mean,lr,avg_loop\n0,train,1,2.5,,,,,,\n"
+    path.write_text(old)
+    with pytest.raises(ConfigError, match="old.csv"):
+        MetricsWriter(os.fspath(path), append=True)
+    assert path.read_text() == old
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +300,34 @@ def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
     for name, t in params.named().items():
         np.testing.assert_array_equal(t.data, before[name], err_msg=name)
         assert not optimizer.m[name].any() and not optimizer.v[name].any()
+
+
+def test_logged_rows_carry_step_time_and_grad_norm(tmp_path):
+    cfg = tiny_config()
+    ids = tiny_corpus(seed=4)
+    plan = TrainPlan(steps=3, batch=2, seed=5, log_interval=2)
+    path = os.fspath(tmp_path / "metrics.csv")
+    with MetricsWriter(path) as metrics:
+        train(cfg, plan, ids, metrics=metrics)
+    header = METRICS_HEADER.split(",")
+    rows = [dict(zip(header, r.split(","))) for r in open(path).read().splitlines()[1:]]
+    assert {int(r["step"]) for r in rows} == {0, 2}
+    for r in rows:
+        step_ms, tok_s = float(r["step_ms"]), float(r["tok_s"])
+        assert step_ms > 0 and float(r["grad_norm"]) > 0
+        assert tok_s == pytest.approx(plan.batch * cfg.t_max / (step_ms / 1e3), rel=1e-4)
+
+    # step 0's norm, from the same batch on the same initial weights
+    params = init_parameters(cfg, seed=plan.seed)
+    inputs, targets = next_batch(BatchPlan(seq_len=cfg.t_max, batch=plan.batch, seed=plan.seed), ids, 0)
+    with Tape() as tape:
+        res = forward(inputs, params, cfg, capture_exits=True)
+        loss, _ = multi_exit_loss(res.exit_logits, targets)
+    ad.backward(tape, loss)
+    expected = math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params.named().values()))
+    for r in rows:
+        if r["step"] == "0":
+            assert float(r["grad_norm"]) == pytest.approx(expected, rel=1e-5)
 
 
 def test_grad_accum_logs_telemetry_of_every_micro_batch(tmp_path):
