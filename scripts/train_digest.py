@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Fingerprint a fixed training run bitwise and report its allocator cost.
+
+Runs the benchmark's train recipe: the canonical ZTT config (L=4, N=3,
+d=128, h=4, d_ff=512, T=64, B=8, exit heads on), seed 0,
+TrainPlan(steps=1_000_000, warmup_frac=1e-5), corpus
+make_synthetic_corpus(200_000, seed=0), one BLAS thread, one optimizer step
+at a time, for 60 steps. After step 40 it prints the sha256 over each
+parameter name in sorted order, then the C-contiguous bytes of the parameter,
+its AdamW `m` and its `v`: a refactor that leaves this digest unchanged kept
+the numerics bitwise. Over steps 10-59 it prints minor page faults and
+user/sys CPU ms per step (resource.getrusage of this process), past the
+first steps' one-time allocations, and at the end the peak RSS.
+
+    python3 scripts/train_digest.py                 # this checkout's src/
+    python3 scripts/train_digest.py --src OTHER/src # another tree's package
+"""
+import argparse
+import hashlib
+import os
+import resource
+import sys
+from pathlib import Path
+
+DIGEST_AT = 40
+MEASURE_FROM = 10
+STEPS = 60
+CANONICAL = dict(
+    variant="ZTT", all_layers=4, loop_count=3, d_model=128, n_heads=4, d_ff=512,
+    t_max=64, batch=8, early_exit_heads=True,
+)
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                    help="directory holding the cycleformer package")
+    return ap.parse_args(argv)
+
+
+def digest(params, optimizer) -> str:
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        for arr in (params[name].data, optimizer.m[name], optimizer.v[name]):
+            h.update(arr.tobytes())  # C order whatever the layout
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads BLAS
+    sys.path.insert(0, args.src)
+    from cycleformer import data, model, train
+    from cycleformer.config import RunConfig, model_config
+    from cycleformer.optim import AdamW
+
+    ids = data.ByteVocabulary().encode(data.make_synthetic_corpus(200_000, seed=0))
+    rc = RunConfig(**CANONICAL, seed=0)
+    cfg = model_config(rc)
+    plan = train.TrainPlan(
+        steps=1_000_000, batch=rc.batch, lr=rc.lr, warmup_frac=1e-5,
+        weight_decay=rc.weight_decay, seed=0,
+    )
+    params = model.init_parameters(cfg, seed=0)
+    named = params.named()
+    optimizer = AdamW(named, weight_decay=rc.weight_decay)
+    for step in range(STEPS):
+        if step == MEASURE_FROM:
+            before = resource.getrusage(resource.RUSAGE_SELF)
+        train.train(cfg, plan, ids, params=params, optimizer=optimizer,
+                    start_step=step, stop_step=step + 1)
+        if step + 1 == DIGEST_AT:
+            print(f"sha256 after {DIGEST_AT} steps: {digest(named, optimizer)}")
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    n = STEPS - MEASURE_FROM
+    print(f"steps {MEASURE_FROM}-{STEPS - 1}, per step: "
+          f"minor faults {(after.ru_minflt - before.ru_minflt) / n:.0f}, "
+          f"user {(after.ru_utime - before.ru_utime) * 1e3 / n:.1f} ms, "
+          f"sys {(after.ru_stime - before.ru_stime) * 1e3 / n:.1f} ms")
+    print(f"peak RSS: {after.ru_maxrss / 1024:.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,28 +2,37 @@
 
 Forward ops run eagerly on the arrays inside `Tensor`s. While a `Tape` is
 active (as a context manager), every primitive that touches a grad-needing
-input records its output, its inputs and a rule: a function from the output's
+input records a gradient slot for its output, one slot per input (None for an
+input that needs no gradient) and a rule: a function from the output's
 gradient to one gradient per input, in input order. Rules only compute;
 `backward(tape, loss)` consumes the records in exact reverse order and is the
-one place that accumulates, adding each returned gradient into the inputs
-that need one, so parameters used at several schedule positions receive the
-sum of their per-use gradients. Without an active tape the same ops are plain
-inference code. Only float32/float64 are supported; float32 is the training
-dtype, float64 the verification dtype for finite-difference checks.
+one place that accumulates, adding each returned gradient into the slots of
+the inputs that need one, so parameters used at several schedule positions
+receive the sum of their per-use gradients. Without an active tape the same
+ops are plain inference code. Only float32/float64 are supported; float32 is
+the training dtype, float64 the verification dtype for finite-difference
+checks.
 
-The sweep frees memory as it goes: it pops each record (dropping the rule's
-closure and the activations it holds) and takes the output's gradient off
-the tensor, so every non-leaf `grad` is None afterwards and the tape is
-empty; a tape is swept once. A first gradient is adopted as the rule returned
-it, without a copy, so a `grad` may be a view into a buffer a consumer's rule
-produced. That is safe under one aliasing contract: the gradients one rule
-returns must not overlap in memory unless they are the identical object.
-Today `concat` returns disjoint slices of its output gradient, `reshape` and
-`transpose` return views of an output gradient nobody reads after their rule,
-`add` returns its output gradient for both inputs, and every other rule
-returns fresh arrays. The sweep copies an identical object for every input
-after the first that adopts it; `add(h, h)` needs no copy, since its second
-write is `h.grad += g` with `h.grad is g`.
+A record holds no `Tensor`. Each rule binds, when its op runs, exactly the
+arrays its formula reads (both operands of a matmul, `xhat` and `inv` of a
+layer norm, a softmax's output, ...) and otherwise only shapes, dtypes and
+indices. So the tape keeps alive what backward reads and nothing else: an op
+output that no rule reads dies with the forward's last reference to its
+`Tensor`, and a non-leaf's data dies with its last reader.
+
+The sweep frees memory as it goes: it pops each record (dropping the rule and
+the arrays it holds) and takes the gradient out of the output's slot, so
+every non-leaf `grad` is None afterwards and the tape is empty; a tape is
+swept once. A first gradient is adopted as the rule returned it, without a
+copy, so a `grad` may be a view into a buffer a consumer's rule produced.
+That is safe under one aliasing contract: the gradients one rule returns must
+not overlap in memory unless they are the identical object. Today `concat`
+returns disjoint slices of its output gradient, `reshape` and `transpose`
+return views of an output gradient nobody reads after their rule, `add`
+returns its output gradient for both inputs, and every other rule returns
+fresh arrays. The sweep copies an identical object for every input after the
+first that adopts it; `add(h, h)` needs no copy, since its second write is
+`h.grad += g` with `h.grad is g`.
 """
 from __future__ import annotations
 
@@ -40,24 +49,52 @@ _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
     "cycleformer_tape", default=None
 )
 
+
+class _Slot:
+    """Gradient cell of one tensor that needs a gradient; tape records hold
+    these in place of the tensors."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """Dense array plus grad bookkeeping.
 
     `data` is an ndarray, but not always an owned one: `reshape` and
-    `transpose` outputs may be views of their input's data. After `backward`, a
-    leaf's `grad` may likewise be a view into a gradient buffer produced by a
-    consumer's rule (a `transpose` of a matmul gradient, a `concat` slice).
+    `transpose` outputs may be views of their input's data. A tensor that
+    needs a gradient owns a `_Slot`, and `grad` reads and writes it; the tape
+    records the slot, not the tensor, so a non-leaf's `data` lives only as
+    long as the forward's references and the rules that read it. After
+    `backward`, a leaf's `grad` may be a view into a gradient buffer produced
+    by a consumer's rule (a `transpose` of a matmul gradient, a `concat`
+    slice).
     """
 
-    __slots__ = ("data", "grad", "grad_needed", "name")
+    __slots__ = ("data", "slot", "name")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False, name: str | None = None):
         if data.dtype not in _ALLOWED_DTYPES:
             raise ShapeError(f"unsupported dtype {data.dtype}; use float32 or float64")
         self.data = data
-        self.grad: np.ndarray | None = None
-        self.grad_needed = requires_grad
+        self.slot = _Slot() if requires_grad else None
         self.name = name
+
+    @property
+    def grad_needed(self) -> bool:
+        return self.slot is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.slot is None:
+            raise UsageError(f"{self!r} needs no gradient")
+        self.slot.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,7 +131,7 @@ def constant(data, dtype=None, name: str | None = None) -> Tensor:
 
 
 class Tape:
-    """Ordered (output, inputs, rule) records of one forward pass.
+    """Ordered (output slot, input slots, rule) records of one forward pass.
 
     `backward` pops the records as it goes, so a swept tape is empty and a
     second `backward` on it raises `UsageError`.
@@ -119,12 +156,12 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Consume `tape` in reverse, accumulating grads into every reachable leaf.
 
-    A record's activations and its output gradient die as soon as its rule
+    A record's saved arrays and its output gradient die as soon as its rule
     has run. The module docstring states the aliasing contract that lets a
     first gradient be adopted without a copy.
     """
     records = tape._records
-    if not any(out is loss for out, _, _ in records):
+    if not any(out is loss.slot for out, _, _ in records):
         raise UsageError("backward target was not produced under this tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward target must be scalar, got shape {loss.data.shape}")
@@ -135,22 +172,23 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if g_out is None:
             continue
         given: list[np.ndarray] = []
-        for t, g in zip(inputs, rule(g_out), strict=True):
-            if not t.grad_needed:
+        for slot, g in zip(inputs, rule(g_out), strict=True):
+            if slot is None:
                 continue
-            if t.grad is None:
-                t.grad = g.copy() if any(g is h for h in given) else np.asarray(g)
+            if slot.grad is None:
+                slot.grad = g.copy() if any(g is h for h in given) else np.asarray(g)
             else:
-                t.grad += g
+                slot.grad += g
             given.append(g)
 
 
 def _finish(out: Tensor, rule, *inputs: Tensor) -> Tensor:
-    """Record a freshly computed output with its inputs and gradient rule."""
+    """Record a freshly computed output's slot with its inputs' slots and its
+    gradient rule, which must bind arrays, never the tensors themselves."""
     tape = _ACTIVE_TAPE.get()
-    if tape is not None and any(i.grad_needed for i in inputs):
-        out.grad_needed = True
-        tape._records.append((out, inputs, rule))
+    if tape is not None and any(i.slot is not None for i in inputs):
+        out.slot = _Slot()
+        tape._records.append((out.slot, tuple(i.slot for i in inputs), rule))
     return out
 
 
@@ -264,10 +302,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype(a, b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
+    av, bv = a.data, b.data
+    out = Tensor(av * bv)
 
     def rule(g):
-        return g * b.data, g * a.data
+        return g * bv, g * av
 
     return _finish(out, rule, a, b)
 
@@ -276,7 +315,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(a.data * a.data.dtype.type(s))
 
-    def rule(g, s=s):
+    def rule(g):
         return (g * s,)
 
     return _finish(out, rule, a)
@@ -287,10 +326,11 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     _same_dtype(x, s)
     if s.data.shape != x.data.shape[:-1] + (1,):
         raise ShapeError(f"row-scale shape {s.data.shape} does not match {x.data.shape}")
-    out = Tensor(x.data * s.data)
+    xd, sd = x.data, s.data
+    out = Tensor(xd * sd)
 
     def rule(g):
-        return g * s.data, np.sum(g * x.data, axis=-1, keepdims=True)
+        return g * sd, np.sum(g * xd, axis=-1, keepdims=True)
 
     return _finish(out, rule, x, s)
 
@@ -301,11 +341,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ash, bsh = a.data.shape, b.data.shape
     if len(ash) < 2 or len(bsh) < 2 or ash[-1] != bsh[-2] or ash[:-2] != bsh[:-2]:
         raise ShapeError(f"matmul shape mismatch: {ash} @ {bsh}")
-    out = Tensor(np.matmul(a.data, b.data))
+    av, bv = a.data, b.data
+    out = Tensor(np.matmul(av, bv))
 
     def rule(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(bv, -1, -2))
+        gb = np.matmul(np.swapaxes(av, -1, -2), g)
         return ga, gb
 
     return _finish(out, rule, a, b)
@@ -324,10 +365,11 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    in_shape = a.data.shape
     out = Tensor(np.reshape(a.data, shape))
 
     def rule(g):
-        return (np.reshape(g, a.data.shape),)
+        return (np.reshape(g, in_shape),)
 
     return _finish(out, rule, a)
 
@@ -354,16 +396,18 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along `axis`."""
-    if not (0 <= start and start + length <= a.data.shape[axis]):
+    in_shape, dtype = a.data.shape, a.data.dtype
+    if not (0 <= start and start + length <= in_shape[axis]):
         raise ShapeError(
-            f"narrow [{start}:{start + length}) out of range for axis {axis} of {a.data.shape}"
+            f"narrow [{start}:{start + length}) out of range for axis {axis} of {in_shape}"
         )
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
-    out = Tensor(a.data[tuple(idx)].copy())
+    idx = tuple(idx)
+    out = Tensor(a.data[idx].copy())
 
-    def rule(g, idx=tuple(idx)):
-        full = np.zeros_like(a.data)
+    def rule(g):
+        full = np.zeros(in_shape, dtype=dtype)
         full[idx] = g
         return (full,)
 
@@ -372,16 +416,17 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def expand(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Broadcast `a` up to `shape` (numpy rules); backward sums the broadcast axes."""
-    if np.broadcast_shapes(a.data.shape, shape) != tuple(shape):
-        raise ShapeError(f"cannot expand {a.data.shape} to {shape}")
+    in_shape = a.data.shape
+    if np.broadcast_shapes(in_shape, shape) != tuple(shape):
+        raise ShapeError(f"cannot expand {in_shape} to {shape}")
     out = Tensor(np.ascontiguousarray(np.broadcast_to(a.data, shape)))
-    extra = len(shape) - a.data.ndim
+    extra = len(shape) - len(in_shape)
     axes = tuple(range(extra)) + tuple(
-        i + extra for i, d in enumerate(a.data.shape) if d == 1 and shape[i + extra] != 1
+        i + extra for i, d in enumerate(in_shape) if d == 1 and shape[i + extra] != 1
     )
 
     def rule(g):
-        return (np.sum(g, axis=axes, keepdims=True).reshape(a.data.shape),)
+        return (np.sum(g, axis=axes, keepdims=True).reshape(in_shape),)
 
     return _finish(out, rule, a)
 
@@ -391,14 +436,14 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError(f"embedding ids must be integers, got {ids.dtype}")
-    n_rows = weight.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+    table_shape, dtype = weight.data.shape, weight.data.dtype
+    if ids.size and (ids.min() < 0 or ids.max() >= table_shape[0]):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-        raise IndexError(f"token id {bad} outside embedding table of {n_rows} rows")
+        raise IndexError(f"token id {bad} outside embedding table of {table_shape[0]} rows")
     out = Tensor(weight.data[ids])
 
     def rule(g):
-        gw = np.zeros_like(weight.data)
+        gw = np.zeros(table_shape, dtype=dtype)
         np.add.at(gw, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
         return (gw,)
 
@@ -406,25 +451,42 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine."""
+    """Normalize the trailing axis to zero mean / unit variance, then affine.
+
+    Each pass allocates two full-size buffers and works in them in place
+    (fewer allocations, fewer page faults); the operations and their order
+    are those of the plain formulas, so results are bitwise the same.
+    """
     _same_dtype(x, gamma, beta)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} != ({d},)")
+    gd = gamma.data
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xhat = x.data - mu
+    y = xhat * xhat
+    var = np.mean(y, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xhat *= inv
+    np.multiply(xhat, gd, out=y)
+    y += beta.data
+    out = Tensor(y)
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
-        dxhat = g * gamma.data
+        dxhat = g * gd
         s1 = np.sum(dxhat, axis=-1, keepdims=True)
-        s2 = np.sum(dxhat * xhat, axis=-1, keepdims=True)
-        gx = (inv / d) * (d * dxhat - s1 - xhat * s2)
-        return gx, np.sum(g * xhat, axis=lead), np.sum(g, axis=lead)
+        tmp = dxhat * xhat
+        s2 = np.sum(tmp, axis=-1, keepdims=True)
+        np.multiply(g, xhat, out=tmp)
+        g_gamma = np.sum(tmp, axis=lead)
+        np.multiply(xhat, s2, out=tmp)
+        # gx = (inv / d) * (d * dxhat - s1 - xhat * s2), built in dxhat.
+        dxhat *= d
+        dxhat -= s1
+        dxhat -= tmp
+        dxhat *= inv / d
+        return dxhat, g_gamma, np.sum(g, axis=lead)
 
     return _finish(out, rule, x, gamma, beta)
 
@@ -444,18 +506,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    y, t = _gelu_parts(x.data)
+    xd = x.data
+    y, t = _gelu_parts(xd)
     out = Tensor(y)
 
     def rule(g):
         # d/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3A x^2),
         # with 1 - t^2 taken as (1 - t) * (1 + t), reusing the 1 + t of
         # the first term.
-        d = x.data * x.data
+        d = xd * xd
         d *= 3.0 * _GELU_A
         d += 1.0
         d *= _GELU_C
-        d *= x.data
+        d *= xd
         s = 1.0 - t
         d *= s
         np.add(t, 1.0, out=s)
@@ -505,9 +568,10 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
+    in_shape, dtype = a.data.shape, a.data.dtype
+    out = Tensor(np.asarray(a.data.sum(), dtype=dtype))
 
     def rule(g):
-        return (np.full_like(a.data, g),)
+        return (np.full(in_shape, g, dtype=dtype),)
 
     return _finish(out, rule, a)

@@ -1,11 +1,13 @@
 """Command line front end: train / eval / generate / sweep / retrofit.
 
-Exit codes: 0 success; 2 bad usage, config or data; 3 training diverged;
+Exit codes: 0 success; 2 bad usage, config or data, including a missing file
+and any other file the command cannot open or write; 3 training diverged;
 4 unreadable or incompatible checkpoint.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -109,7 +111,17 @@ def _load_ids(path: str) -> np.ndarray:
     return load_corpus(path)
 
 
+def _check_out(path: str) -> None:
+    """Reject an output path that cannot be written before any work is done."""
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path} is a directory; give a checkpoint file path")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: {parent} is not an existing directory")
+
+
 def cmd_train(args) -> int:
+    _check_out(args.out)
     rc = load_run_config(args.config)
     if args.data is not None:
         rc = replace(rc, corpus_path=args.data)
@@ -204,6 +216,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_retrofit(args) -> int:
+    _check_out(args.out)
     loaded = load_model(args.ckpt)
     target_rc = replace(
         loaded.rc,
@@ -246,8 +259,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, UsageError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OSError as e:
+        where = f"{e.filename}: " if e.filename else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return EXIT_USAGE
 
 

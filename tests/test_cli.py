@@ -417,6 +417,43 @@ def test_missing_files_exit_2(workspace, capsys):
     assert main(["eval", "--ckpt", ckpt, "--data", "no_such.bin"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--config", "--metrics", "eval --data"])
+def test_directory_given_for_a_file_exits_2_naming_it(workspace, capsys, flag):
+    cfg, ckpt = train_small(workspace)
+    capsys.readouterr()
+    folder = workspace / "folder"
+    folder.mkdir()
+    argv = {
+        "--config": ["train", "--config", os.fspath(folder), "--out", ckpt],
+        "--metrics": ["train", "--config", cfg, "--out", ckpt, "--metrics", os.fspath(folder)],
+        "eval --data": ["eval", "--ckpt", ckpt, "--data", os.fspath(folder)],
+    }[flag]
+    assert main(argv) == 2
+    assert os.fspath(folder) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "retrofit"])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_exits_2_before_any_work(workspace, capsys, command, where):
+    out = workspace / "folder"
+    out.mkdir()
+    if where == "missing parent":
+        out = workspace / "missing" / "x.ckpt"
+    csv = workspace / "metrics.csv"
+    if command == "train":
+        cfg = write_config(workspace / "run.cfg", corpus_path=workspace / "corpus.bin")
+        argv = ["train", "--config", cfg, "--out", os.fspath(out), "--metrics", os.fspath(csv)]
+    else:
+        _, vanilla = train_small(workspace, variant="V", all_layers=3, loop_count=1)
+        capsys.readouterr()
+        argv = ["retrofit", "--ckpt", vanilla, "--out", os.fspath(out), "--loop-count", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert os.fspath(out) in captured.err and captured.out == ""
+    assert not csv.exists()  # no step ran: not even the metrics header was written
+    assert out.is_dir() if where == "directory" else not out.parent.exists()
+
+
 def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required flags

@@ -2,6 +2,7 @@
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -146,11 +147,14 @@ def test_parameter_gradients_never_share_memory():
             assert not np.shares_memory(ga, gb), (name_a, name_b)
 
 
+_MEMORY_CONFIG = dict(all_layers=4, loop_count=3, d_model=32, n_heads=4, d_ff=128, vocab=259, t_max=16)
+
+
 def test_backward_peak_memory_stays_near_the_forward():
     # The sweep frees each record's activations and each consumed gradient as
     # it goes, so backward's peak sits near what the forward left alive
     # instead of adding every gradient on top of every activation.
-    cfg = tiny_config(all_layers=4, loop_count=3, d_model=32, n_heads=4, d_ff=128, vocab=259, t_max=16)
+    cfg = tiny_config(**_MEMORY_CONFIG)
     params, ids, targets = _model_batch(cfg)
     tracemalloc.start()
     try:
@@ -164,6 +168,84 @@ def test_backward_peak_memory_stays_near_the_forward():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * after_forward, (peak, after_forward)
+
+
+def _taped_forward(cfg, params, ids, targets):
+    """Tape and loss of one multi-exit forward; every other reference the
+    forward made is gone when this returns."""
+    with Tape() as tape:
+        res = forward(ids, params, cfg, capture_exits=True)
+        loss, _ = multi_exit_loss(res.exit_logits, targets)
+    return tape, loss
+
+
+def test_tape_rules_bind_arrays_never_tensors():
+    # A rule that closes over a Tensor keeps that op's whole output alive
+    # until the sweep reaches it, whether or not its formula reads it.
+    cfg = tiny_config(**_MEMORY_CONFIG)
+    params, ids, targets = _model_batch(cfg)
+    tape, _ = _taped_forward(cfg, params, ids, targets)
+    rules = [rule for _, _, rule in tape._records]
+    assert rules
+    for rule in rules:
+        bound = [cell.cell_contents for cell in rule.__closure__ or ()] + list(rule.__defaults__ or ())
+        assert not any(isinstance(v, ad.Tensor) for v in bound), rule.__qualname__
+
+
+def test_attention_scores_die_with_the_forward(monkeypatch):
+    # No rule reads the raw scores (q @ k^T, before the 1/sqrt(hd) scale), so
+    # they must be freed once the forward returns, while the tape lives on.
+    cfg = tiny_config(**_MEMORY_CONFIG)
+    params, ids, targets = _model_batch(cfg)
+    ad.backward(*_taped_forward(cfg, params, ids, targets))
+    expected = {name: p.grad.copy() for name, p in params.named().items()}
+    for p in params.named().values():
+        p.grad = None
+
+    scores = []
+    inner = ad.scale
+
+    def spy(a, s):
+        if a.data.ndim == 4:  # (batch, head, query, key): attention scores
+            scores.append(weakref.ref(a.data))
+        return inner(a, s)
+
+    monkeypatch.setattr(ad, "scale", spy)
+    tape, loss = _taped_forward(cfg, params, ids, targets)
+    # head, 2 cycled layers x 3 cycles and tail on the main stream, plus
+    # the tail again for each of the 2 intermediate exits
+    assert len(scores) == 8 + 2
+    assert all(ref() is None for ref in scores)
+    ad.backward(tape, loss)
+    for name, p in params.named().items():
+        np.testing.assert_array_equal(p.grad, expected[name], err_msg=name)
+
+
+def test_tape_holds_no_more_than_the_op_outputs(monkeypatch):
+    # What the forward leaves alive is what backward reads. Rules save
+    # `xhat`/`inv` rather than a layer norm's output, a softmax its output
+    # rather than its input, ..., so the total stays below the bytes of
+    # every owned op output (1.36x of them while records held the Tensors).
+    cfg = tiny_config(**_MEMORY_CONFIG)
+    params, ids, targets = _model_batch(cfg)
+    owned = []
+    inner = ad._finish
+
+    def spy(out, rule, *inputs):
+        out = inner(out, rule, *inputs)
+        if out.grad_needed and out.data.flags.owndata:
+            owned.append(out.data.nbytes)
+        return out
+
+    monkeypatch.setattr(ad, "_finish", spy)
+    tracemalloc.start()
+    try:
+        tape, loss = _taped_forward(cfg, params, ids, targets)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert owned
+    assert held <= 1.0 * sum(owned), (held, sum(owned))
 
 
 # ---------------------------------------------------------------------------
