@@ -36,7 +36,7 @@ class ExitPolicy:
     def __post_init__(self):
         if self.aggregation not in ("mean", "last"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.threshold is not None and self.threshold < 0:
+        if self.threshold is not None and not self.threshold >= 0:  # NaN too
             raise ConfigError(f"exit threshold must be >= 0, got {self.threshold}")
 
     @property

@@ -18,10 +18,11 @@ Layout, all integers little-endian:
 Sorted names and a fixed encoding make the bytes a pure function of the
 content: save(load(save(x))) is byte-identical to save(x). Writes go through
 a temp file and os.replace so a crash cannot leave a half-written checkpoint
-at the destination path.
+at the destination path; a write that fails removes its temp file.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -60,9 +61,14 @@ def save_checkpoint(path: str, config_text: str, tensors: dict[str, np.ndarray])
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes(order="C"))
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .adaptive import ExitPolicy, generate
 from .checkpoint import load_model, save_model
-from .config import RunConfig, load_run_config, model_config
+from .config import RunConfig, load_run_config, model_config, parse_value
 from .data import ByteVocabulary, load_corpus, split_corpus
 from .errors import (
     CheckpointError,
@@ -44,18 +44,11 @@ def _policy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--aggregation", choices=("mean", "last"), default="mean")
 
 
-def _parse_threshold(raw: str) -> float | None:
-    if raw.lower() == "none":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"--threshold expects a number or 'none', got {raw!r}") from None
-
-
 def _policy(args, rc: RunConfig) -> ExitPolicy:
     """`--threshold` if given (None when omitted), else the checkpoint's exit_threshold."""
-    threshold = rc.exit_threshold if args.threshold is None else _parse_threshold(args.threshold)
+    threshold = rc.exit_threshold
+    if args.threshold is not None:
+        threshold = parse_value("exit_threshold", args.threshold, label="--threshold")
     return ExitPolicy(threshold=threshold, aggregation=args.aggregation)
 
 

@@ -1,15 +1,21 @@
 """key=value run configuration: parsing, validation, canonical serialization.
 
-One flat file drives a whole run. Unknown keys are hard errors so a typo
-cannot silently fall back to a default. `use_gate`/`use_zero_token` accept
-"auto" (resolve by variant); every key except `corpus_path` has a default.
-`exit_threshold` (a number or "none") travels inside every checkpoint and is
-the exit policy `eval` and `generate` use when `--threshold` is omitted.
+One flat file drives a whole run. `RunConfig` is the only declaration of its
+keys: each field's declared type picks how its value is read and written
+(`int`, `float`, `bool` as true/false/1/0, `str`; None is spelled "auto" for
+`bool | None`, "none" for `float | None`, and an unset `str | None` is left
+out). Unknown keys are hard errors so a typo cannot silently fall back to a
+default. `use_gate`/`use_zero_token` "auto" resolves by variant; every key
+except `corpus_path` has a default. `exit_threshold` (a number >= 0 or
+"none") travels inside every checkpoint and is the exit policy `eval` and
+`generate` use when `--threshold` is omitted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
+from .adaptive import ExitPolicy
 from .errors import ConfigError
 from .model import ModelConfig
 
@@ -40,50 +46,40 @@ class RunConfig:
     corpus_path: str | None = None
 
 
-_INT_KEYS = {
-    "all_layers", "loop_count", "d_model", "n_heads", "d_ff", "vocab", "t_max",
-    "steps", "batch", "grad_accum", "seed",
-}
-_FLOAT_KEYS = {"lr", "warmup_frac", "weight_decay"}
-_BOOL_KEYS = {"early_exit_heads", "tie_embeddings", "share_middle"}
-_TRISTATE_KEYS = {"use_gate", "use_zero_token"}
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
-
-
-def _parse_bool(key: str, raw: str) -> bool:
+def _read_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "1"):
         return True
     if low in ("false", "0"):
         return False
-    raise ConfigError(f"key {key!r}: expected true/false, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _parse_value(key: str, raw: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
-    if key in _BOOL_KEYS:
-        return _parse_bool(key, raw)
-    if key in _TRISTATE_KEYS:
-        if raw.lower() == "auto":
-            return None
-        return _parse_bool(key, raw)
-    if key == "exit_threshold":
-        if raw.lower() == "none":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected a number or 'none', got {raw!r}") from None
-    return raw  # variant, corpus_path
+def _or_none(spelling: str, read):
+    return lambda raw: None if raw.lower() == spelling else read(raw)
+
+
+# Declared field type -> (reader, what it expects, how None is written; None: key omitted).
+_CODECS = {
+    int: (int, "an integer", None),
+    float: (float, "a number", None),
+    bool: (_read_bool, "true/false", None),
+    str: (str, None, None),
+    bool | None: (_or_none("auto", _read_bool), "true/false", "auto"),
+    float | None: (_or_none("none", float), "a number or 'none'", "none"),
+    str | None: (str, None, None),
+}
+_TYPES = get_type_hints(RunConfig)
+
+
+def parse_value(key: str, raw: str, label: str | None = None):
+    """`raw` read as RunConfig field `key`'s declared type; errors name
+    `label`, by default the key."""
+    read, expected, _ = _CODECS[_TYPES[key]]
+    try:
+        return read(raw)
+    except ValueError:
+        raise ConfigError(f"{label or f'key {key!r}'}: expected {expected}, got {raw!r}") from None
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -96,10 +92,10 @@ def parse_run_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line.strip()!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        raw = raw.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        setattr(rc, key, _parse_value(key, raw))
+        setattr(rc, key, parse_value(key, raw.strip()))
+    ExitPolicy(threshold=rc.exit_threshold)  # the rule eval and generate apply to it
     return rc
 
 
@@ -108,41 +104,21 @@ def load_run_config(path: str) -> RunConfig:
         return parse_run_config(fh.read())
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def serialize_run_config(rc: RunConfig) -> str:
     """Canonical text form: every key, declaration order, one per line."""
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(rc, f.name)
-        if f.name in _TRISTATE_KEYS and value is None:
-            lines.append(f"{f.name}=auto")
-        elif f.name == "corpus_path" and value is None:
-            continue
-        else:
-            lines.append(f"{f.name}={_format_value(value)}")
+    for key, kind in _TYPES.items():
+        value = getattr(rc, key)
+        if value is None:
+            value = _CODECS[kind][2]
+            if value is None:
+                continue
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
 
 
 def model_config(rc: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        variant=rc.variant,
-        all_layers=rc.all_layers,
-        loop_count=rc.loop_count,
-        d_model=rc.d_model,
-        n_heads=rc.n_heads,
-        d_ff=rc.d_ff,
-        vocab=rc.vocab,
-        t_max=rc.t_max,
-        use_gate=rc.use_gate,
-        use_zero_token=rc.use_zero_token,
-        early_exit_heads=rc.early_exit_heads,
-        tie_embeddings=rc.tie_embeddings,
-        share_middle=rc.share_middle,
-    )
+    """Each ModelConfig field from the RunConfig field of the same name."""
+    return ModelConfig(**{f.name: getattr(rc, f.name) for f in fields(ModelConfig)})

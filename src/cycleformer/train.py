@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,8 +45,10 @@ class TrainPlan:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch < 1 or self.grad_accum < 1:
             raise ConfigError("batch and grad_accum must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:  # NaN too
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
         if self.exit_loss_weights is not None:
@@ -56,15 +58,9 @@ class TrainPlan:
 
 
 def plan_from_run(rc: RunConfig) -> TrainPlan:
-    return TrainPlan(
-        steps=rc.steps,
-        batch=rc.batch,
-        grad_accum=rc.grad_accum,
-        lr=rc.lr,
-        warmup_frac=rc.warmup_frac,
-        weight_decay=rc.weight_decay,
-        seed=rc.seed,
-    )
+    """TrainPlan from the RunConfig fields of the same name; the rest keep their defaults."""
+    names = {f.name for f in fields(TrainPlan)}
+    return TrainPlan(**{f.name: getattr(rc, f.name) for f in fields(rc) if f.name in names})
 
 
 def learning_rate_at(step: int, plan: TrainPlan) -> float:
@@ -250,6 +246,8 @@ def train(
                 weights = plan.exit_loss_weights if config.early_exit_heads else None
                 loss, per_exit = multi_exit_loss(res.exit_logits, targets, weights)
                 scaled = ad.scale(loss, 1.0 / plan.grad_accum)
+            telemetry.records += res.telemetry.records
+            del res  # no rule reads the exit logits; free them before the sweep
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(step, value)
@@ -259,7 +257,6 @@ def train(
                 per_exit_acc = [x / plan.grad_accum for x in per_exit]
             else:
                 per_exit_acc = [a + x / plan.grad_accum for a, x in zip(per_exit_acc, per_exit)]
-            telemetry.records += res.telemetry.records
         _check_grads_finite(optimizer.params, step, step_loss)
         optimizer.step(lr)
         step_s = time.perf_counter() - started

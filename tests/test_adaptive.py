@@ -83,8 +83,9 @@ def test_fixed_policy_never_exits():
 def test_policy_validation():
     with pytest.raises(ConfigError):
         ExitPolicy(threshold=0.5, aggregation="median")
-    with pytest.raises(ConfigError):
-        ExitPolicy(threshold=-0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ConfigError):
+            ExitPolicy(threshold=bad)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=8))

@@ -116,6 +116,24 @@ def test_unsupported_dtype_rejected_and_target_untouched(tmp_path):
     assert not os.path.exists(path + ".tmp")
 
 
+def test_failed_replace_leaves_no_temp_file_and_the_target_untouched(tmp_path, monkeypatch):
+    path = os.fspath(tmp_path / "keep.bin")
+    save_checkpoint(path, "x=1", {"w": np.ones(2, dtype=np.float32)})
+    before = open(path, "rb").read()
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_checkpoint(path, "x=2", {"w": np.zeros(3, dtype=np.float32)})
+    assert open(path, "rb").read() == before
+    assert not os.path.exists(path + ".tmp")
+    with pytest.raises(OSError):
+        save_checkpoint(os.fspath(tmp_path / "new.bin"), "x=2", sample_tensors())
+    assert sorted(os.listdir(tmp_path)) == ["keep.bin"]
+
+
 # ---------------------------------------------------------------------------
 # model-level helpers
 

@@ -78,6 +78,27 @@ def test_unknown_config_key(workspace, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting,needle",
+    [
+        ("lr=nan", "lr"),
+        ("lr=inf", "lr"),
+        ("weight_decay=nan", "weight_decay"),
+        ("weight_decay=-5", "weight_decay"),
+        ("exit_threshold=-1", "exit threshold"),
+        ("exit_threshold=nan", "exit threshold"),
+    ],
+)
+def test_out_of_range_setting_exits_2_before_training(workspace, capsys, setting, needle):
+    key, value = setting.split("=")
+    cfg = write_config(workspace / "run.cfg", corpus_path=workspace / "corpus.bin", **{key: value})
+    out = workspace / "run.ckpt"
+    assert main(["train", "--config", cfg, "--out", os.fspath(out)]) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_resume_extends_run(workspace, capsys):
     cfg, ckpt = train_small(workspace)
     csv = os.fspath(workspace / "metrics.csv")
@@ -161,6 +182,20 @@ def test_eval_threshold_none_and_bad_value(workspace, capsys):
     assert "adaptive" not in capsys.readouterr().out
     assert main(["eval", "--ckpt", ckpt, "--data", data, "--threshold", "hot"]) == 2
     assert "--threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "generate"])
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_out_of_range_threshold_flag_exits_2(workspace, capsys, command, threshold):
+    _, ckpt = train_small(workspace)
+    capsys.readouterr()
+    argv = {
+        "eval": ["eval", "--ckpt", ckpt, "--data", os.fspath(workspace / "corpus.bin")],
+        "generate": ["generate", "--ckpt", ckpt, "--prompt", "ab", "--max-tokens", "1"],
+    }[command]
+    assert main(argv + ["--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert "exit threshold must be >= 0" in captured.err and captured.out == ""
 
 
 def generate_report(err):
@@ -340,6 +375,15 @@ def _invalid_embedded_config(path):
     _tiny_checkpoint(path, "variant=QQQ\n")
 
 
+def _embedded_threshold(raw):
+    def build(path):
+        _tiny_checkpoint(path)
+        text, tensors = load_checkpoint(os.fspath(path))
+        text = text.replace("exit_threshold=none", f"exit_threshold={raw}")
+        save_checkpoint(os.fspath(path), text, tensors)
+    return build
+
+
 @pytest.mark.parametrize(
     "build,needle",
     [
@@ -347,11 +391,13 @@ def _invalid_embedded_config(path):
         (_bad_config_text, "UTF-8"),
         (_overflowing_dims, "truncated"),
         (_invalid_embedded_config, "embedded config"),
+        (_embedded_threshold("-1"), "exit threshold must be >= 0"),
+        (_embedded_threshold("nan"), "exit threshold must be >= 0"),
         (lambda path: path.mkdir(), "cannot read"),
     ],
     ids=[
         "tensor-name-utf8", "config-text-utf8", "dims-overflow", "invalid-embedded-config",
-        "directory",
+        "negative-exit-threshold", "nan-exit-threshold", "directory",
     ],
 )
 def test_malformed_checkpoint_exits_4_naming_the_file(workspace, capsys, build, needle):

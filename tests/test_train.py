@@ -74,8 +74,12 @@ def test_schedule_bounded(steps, frac):
 def test_plan_validation():
     with pytest.raises(ConfigError):
         TrainPlan(steps=0)
-    with pytest.raises(ConfigError):
-        TrainPlan(steps=1, lr=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="lr"):
+            TrainPlan(steps=1, lr=bad)
+    for bad in (-5.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="weight_decay"):
+            TrainPlan(steps=1, weight_decay=bad)
     with pytest.raises(ConfigError):
         TrainPlan(steps=1, warmup_frac=1.5)
     with pytest.raises(ConfigError):
@@ -359,6 +363,29 @@ def test_nan_loss_aborts_with_step():
     with pytest.raises(TrainingDiverged) as exc:
         train(cfg, plan, tiny_corpus(), params=params)
     assert exc.value.step == 0
+
+
+def test_exit_logits_are_freed_before_backward(monkeypatch):
+    # No rule reads the logits (cross_entropy saves its own log-softmax),
+    # so they must not be held across the reverse sweep.
+    cfg = tiny_config()
+    last_logits = []
+    entered = []
+    real_forward, real_backward = train_mod.forward, train_mod.backward
+
+    def forward_spy(*args, **kwargs):
+        res = real_forward(*args, **kwargs)
+        last_logits.append(weakref.ref(res.exit_logits[-1].data))
+        return res
+
+    def backward_spy(tape, loss):
+        entered.append(last_logits[-1]() is None)
+        real_backward(tape, loss)
+
+    monkeypatch.setattr(train_mod, "forward", forward_spy)
+    monkeypatch.setattr(train_mod, "backward", backward_spy)
+    train(cfg, TrainPlan(steps=2, batch=2, grad_accum=2, seed=0), tiny_corpus())
+    assert entered == [True] * 4
 
 
 def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
