@@ -5,12 +5,15 @@ Runs the benchmark's train recipe: the canonical ZTT config (L=4, N=3,
 d=128, h=4, d_ff=512, T=64, B=8, exit heads on), seed 0,
 TrainPlan(steps=1_000_000, warmup_frac=1e-5), corpus
 make_synthetic_corpus(200_000, seed=0), one BLAS thread, one optimizer step
-at a time, for 60 steps. After step 40 it prints the sha256 over each
-parameter name in sorted order, then the C-contiguous bytes of the parameter,
-its AdamW `m` and its `v`: a refactor that leaves this digest unchanged kept
-the numerics bitwise. Over steps 10-59 it prints minor page faults and
-user/sys CPU ms per step (resource.getrusage of this process), past the
-first steps' one-time allocations, and at the end the peak RSS.
+at a time, for 60 steps. It first prints the sha256 of the corpus bytes,
+so a changed corpus generator is told apart from changed numerics
+(expected: 40ed2badd66d8dcd6bc54cda288a946c7410c20152d23f2f61d5ef592d2e6ab4).
+After step 40 it prints the sha256 over each parameter name in sorted order,
+then the C-contiguous bytes of the parameter, its AdamW `m` and its `v`: a
+refactor that leaves this digest unchanged kept the numerics bitwise. Over
+steps 10-59 it prints minor page faults and user/sys CPU ms per step
+(resource.getrusage of this process), past the first steps' one-time
+allocations, and at the end the peak RSS.
 
     python3 scripts/train_digest.py                 # this checkout's src/
     python3 scripts/train_digest.py --src OTHER/src # another tree's package
@@ -56,7 +59,9 @@ def main(argv=None) -> int:
     from cycleformer.config import RunConfig, model_config
     from cycleformer.optim import AdamW
 
-    ids = data.ByteVocabulary().encode(data.make_synthetic_corpus(200_000, seed=0))
+    corpus = data.make_synthetic_corpus(200_000, seed=0)
+    print(f"corpus sha256: {hashlib.sha256(corpus).hexdigest()}")
+    ids = data.ByteVocabulary().encode(corpus)
     rc = RunConfig(**CANONICAL, seed=0)
     cfg = model_config(rc)
     plan = train.TrainPlan(

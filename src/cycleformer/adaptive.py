@@ -216,6 +216,10 @@ def generate(
     Every emitted token is processed through the stack (so each has a cycle
     count); prompt plus continuation must fit within t_max.
     """
+    if max_new_tokens < 0:
+        raise ConfigError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
+    if math.isnan(temperature):
+        raise ConfigError("temperature must be a number, got nan")
     policy = policy or ExitPolicy()
     prompt = [int(i) for i in np.asarray(prompt_ids, dtype=np.int64).reshape(-1)]
     if not prompt:

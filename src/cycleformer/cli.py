@@ -52,6 +52,21 @@ def _policy(args, rc: RunConfig) -> ExitPolicy:
     return ExitPolicy(threshold=threshold, aggregation=args.aggregation)
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy's generators take only non-negative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    """argparse type for --seeds: one or more comma-separated `_seed` values."""
+    seeds = tuple(_seed(s) for s in text.split(",") if s.strip())
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"needs at least one seed, got {text!r}")
+    return seeds
+
+
 def _exit_histogram(counts) -> str:
     return "exits by cycle: " + "  ".join(f"{c}:{n}" for c, n in enumerate(counts, 1))
 
@@ -80,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", default="")
     p.add_argument("--max-tokens", type=int, default=64)
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _policy_args(p)
 
     p = sub.add_parser("sweep", help="train every layout that fills a depth budget")
@@ -88,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default="V,BC,HTC,ZTT")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="base run config for width and steps")
-    p.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p.add_argument("--seeds", type=_seeds, default="0", help="comma-separated seeds")
     p.add_argument("--valid-frac", type=float, default=0.1)
 
     p = sub.add_parser("retrofit", help="warm-start a cycled model from a vanilla checkpoint")
@@ -96,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=("HTC", "ZTT"), default="ZTT")
     p.add_argument("--loop-count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -200,10 +215,9 @@ def cmd_sweep(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants is empty")
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
     ids = _load_ids(args.data)
     train_ids, valid_ids = split_corpus(ids, args.valid_frac)
-    rows = budget_sweep(args.budget, variants, train_ids, valid_ids, base, seeds=seeds)
+    rows = budget_sweep(args.budget, variants, train_ids, valid_ids, base, seeds=args.seeds)
     print(format_sweep(rows))
     return 0
 

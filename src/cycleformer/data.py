@@ -129,10 +129,14 @@ def make_synthetic_corpus(n_bytes: int, seed: int = 0) -> bytes:
     words = [bytes(rng.choice(letters, size=int(n)).tobytes()) for n in lengths]
     ranks = np.arange(1, n_words + 1, dtype=np.float64)
     probs = (1.0 / ranks) / np.sum(1.0 / ranks)
+    # What rng.choice(n_words, p=probs) computes for one sample, with its one
+    # uniform draw, minus rebuilding and re-validating the CDF on every word.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     out = bytearray()
     sentence_len = 0
     while len(out) < n_bytes:
-        out += words[int(rng.choice(n_words, p=probs))]
+        out += words[int(cdf.searchsorted(rng.random(), side="right"))]
         sentence_len += 1
         if sentence_len >= int(rng.integers(6, 14)):
             out += b".\n"

@@ -89,6 +89,8 @@ def evaluate(
     max_batches: int | None = None,
 ) -> EvalReport:
     """Score every full window of `ids` at teacher-forced positions."""
+    if batch < 1 or (max_batches is not None and max_batches < 1):
+        raise ConfigError(f"batch and max_batches must be >= 1, got {batch} and {max_batches}")
     policy = policy or ExitPolicy()
     adaptive = policy.adaptive
     if adaptive and not config.supports_adaptive_exit:

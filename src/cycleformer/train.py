@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
 from .data import BatchPlan, next_batch
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged
 from .model import ModelConfig, ModelParameters, forward, init_parameters
 from .optim import AdamW
 from .telemetry import CycleTelemetry
@@ -49,6 +49,8 @@ class TrainPlan:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if self.seed < 0:  # numpy's generators take only non-negative seeds
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
         if self.exit_loss_weights is not None:
@@ -218,6 +220,9 @@ def train(
     step and the full plan, so a run split at any step and resumed from its
     checkpoint retraces the uninterrupted trajectory bit for bit.
     """
+    top_id = int(np.max(train_ids, initial=-1))
+    if top_id >= config.vocab:
+        raise DataError(f"corpus token id {top_id} does not fit vocab={config.vocab}")
     if params is None:
         params = init_parameters(config, seed=plan.seed)
     named = params.named()

@@ -87,6 +87,8 @@ def test_unknown_config_key(workspace, capsys):
         ("weight_decay=-5", "weight_decay"),
         ("exit_threshold=-1", "exit threshold"),
         ("exit_threshold=nan", "exit threshold"),
+        ("seed=-1", "seed"),
+        ("vocab=100", "vocab=100"),  # below the corpus's byte ids
     ],
 )
 def test_out_of_range_setting_exits_2_before_training(workspace, capsys, setting, needle):
@@ -196,6 +198,46 @@ def test_out_of_range_threshold_flag_exits_2(workspace, capsys, command, thresho
     assert main(argv + ["--threshold", threshold]) == 2
     captured = capsys.readouterr()
     assert "exit threshold must be >= 0" in captured.err and captured.out == ""
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+FLAG_FAULTS = [
+    (["eval", "--max-batches", "0", "--threshold", "0.5"], "max_batches"),
+    (["eval", "--max-batches", "0"], "max_batches"),
+    (["eval", "--batch", "0"], "batch"),
+    (["eval", "--batch", "-2"], "batch"),
+    (["generate", "--temperature", "nan"], "temperature"),
+    (["generate", "--max-tokens", "-3"], "max_new_tokens"),
+    (["generate", "--seed", "-1"], "--seed"),
+    (["retrofit", "--loop-count", "2", "--seed", "-1"], "--seed"),
+    (["sweep", "--budget", "4", "--seeds", "x"], "--seeds"),
+    (["sweep", "--budget", "4", "--seeds", ","], "--seeds"),
+]
+
+
+@pytest.mark.parametrize("argv,needle", FLAG_FAULTS, ids=[" ".join(a) for a, _ in FLAG_FAULTS])
+def test_out_of_range_flag_exits_2(workspace, capsys, argv, needle):
+    command = argv[0]
+    source = dict(variant="V", loop_count=1) if command == "retrofit" else {}
+    _, ckpt = train_small(workspace, **source)
+    capsys.readouterr()
+    data = os.fspath(workspace / "corpus.bin")
+    where = {
+        "eval": ["--ckpt", ckpt, "--data", data],
+        "generate": ["--ckpt", ckpt],
+        "retrofit": ["--ckpt", ckpt, "--out", os.fspath(workspace / "retro.ckpt")],
+        "sweep": ["--data", data],
+    }[command]
+    assert exit_code(argv + where) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err and captured.out == ""
 
 
 def generate_report(err):

@@ -1,4 +1,7 @@
-"""Vocabulary round-trips, window scheduling, epoch coverage."""
+"""Vocabulary round-trips, window scheduling, epoch coverage, synthetic corpus."""
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,3 +126,61 @@ def test_synthetic_corpus_deterministic_and_sized():
     assert a == b and a != c
     assert len(a) == 4096
     assert max(a) < 128  # plain ASCII
+
+
+def reference_synthetic_corpus(n_bytes: int, seed: int = 0) -> bytes:
+    """The generator as first written, one rng.choice(p=...) per word: the
+    specification make_synthetic_corpus must reproduce byte for byte."""
+    rng = np.random.default_rng(seed)
+    letters = np.frombuffer(b"etaoinshrdlucmfwypvbgk", dtype=np.uint8)
+    n_words = 400
+    lengths = rng.integers(2, 9, size=n_words)
+    words = [bytes(rng.choice(letters, size=int(n)).tobytes()) for n in lengths]
+    ranks = np.arange(1, n_words + 1, dtype=np.float64)
+    probs = (1.0 / ranks) / np.sum(1.0 / ranks)
+    out = bytearray()
+    sentence_len = 0
+    while len(out) < n_bytes:
+        out += words[int(rng.choice(n_words, p=probs))]
+        sentence_len += 1
+        if sentence_len >= int(rng.integers(6, 14)):
+            out += b".\n"
+            sentence_len = 0
+        else:
+            out += b" "
+    return bytes(out[:n_bytes])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 20_000), st.integers(0, 2**32))
+def test_synthetic_corpus_matches_reference(n_bytes, seed):
+    assert make_synthetic_corpus(n_bytes, seed) == reference_synthetic_corpus(n_bytes, seed)
+
+
+def _cuts(seed: int) -> list[int]:
+    """Sizes that end the corpus mid-word and right after a sentence's full stop and newline."""
+    text = reference_synthetic_corpus(3000, seed)
+    mid_word = next(i for i in range(1, len(text)) if text[i - 1 : i + 1].isalpha())
+    after_stop = text.index(b".\n") + 2
+    return [mid_word, after_stop, after_stop + text[after_stop:].index(b".\n") + 2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**31 - 1])
+def test_synthetic_corpus_matches_reference_at_edges(seed):
+    for n_bytes in [1, 2, *_cuts(seed), 3000]:
+        got = make_synthetic_corpus(n_bytes, seed)
+        assert got == reference_synthetic_corpus(n_bytes, seed), n_bytes
+        assert len(got) == n_bytes
+
+
+ARTIFACTS = Path(__file__).parent / "_artifacts"
+BENCH_CORPUS_SHA256 = "40ed2badd66d8dcd6bc54cda288a946c7410c20152d23f2f61d5ef592d2e6ab4"
+
+
+def test_synthetic_corpus_reproduces_committed_files():
+    smoke = (ARTIFACTS / "smoke_corpus.bin").read_bytes()
+    assert make_synthetic_corpus(1_000_000, seed=0) == smoke
+    # the benchmark's train corpus, also the fixed checkpoint's training data
+    bench = make_synthetic_corpus(200_000, seed=0)
+    assert hashlib.sha256(bench).hexdigest() == BENCH_CORPUS_SHA256
+    assert smoke.startswith(bench)

@@ -89,6 +89,13 @@ def test_max_batches_truncates():
     assert report.n_tokens == 2 * 3 * cfg.t_max
 
 
+@pytest.mark.parametrize("kw", [dict(batch=0), dict(batch=-2), dict(max_batches=0)])
+def test_empty_batches_rejected(kw):
+    cfg, params = make_model()
+    with pytest.raises(ConfigError):
+        evaluate(params, cfg, corpus(), **kw)
+
+
 def test_evaluate_is_pure():
     cfg, params = make_model()
     ids = corpus(400)
