@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint a fixed training run bitwise and report its allocator cost.
+"""Fingerprint training, evaluation and decode bitwise; report training's allocator cost.
 
 Runs the benchmark's train recipe: the canonical ZTT config (L=4, N=3,
 d=128, h=4, d_ff=512, T=64, B=8, exit heads on), seed 0,
@@ -13,13 +13,21 @@ then the C-contiguous bytes of the parameter, its AdamW `m` and its `v`: a
 refactor that leaves this digest unchanged kept the numerics bitwise. Over
 steps 10-59 it prints minor page faults and user/sys CPU ms per step
 (resource.getrusage of this process), past the first steps' one-time
-allocations, and at the end the peak RSS.
+allocations, and then the peak RSS.
+
+Last it fingerprints the no-tape paths on the benchmark's fixed checkpoint
+(perfbench/fixed). `eval sha256` covers the `evaluate` reports at exit
+thresholds 0.5, 1.0 and none over the committed validation tail, batch 8.
+`decode sha256` covers greedy `generate` at threshold 0.5 and at full depth
+on the first 8 pool prompts, each filled to t_max: the ids, the cycles
+used, every `decode_step`'s logits and the final `DecodeCache.depth`.
 
     python3 scripts/train_digest.py                 # this checkout's src/
     python3 scripts/train_digest.py --src OTHER/src # another tree's package
 """
 import argparse
 import hashlib
+import json
 import os
 import resource
 import sys
@@ -28,6 +36,10 @@ from pathlib import Path
 DIGEST_AT = 40
 MEASURE_FROM = 10
 STEPS = 60
+FIXED = Path(__file__).resolve().parent.parent / "perfbench" / "fixed"
+EVAL_THRESHOLDS = (0.5, 1.0, None)
+DECODE_THRESHOLDS = (0.5, None)
+DECODE_PROMPTS = 8
 CANONICAL = dict(
     variant="ZTT", all_layers=4, loop_count=3, d_model=128, n_heads=4, d_ff=512,
     t_max=64, batch=8, early_exit_heads=True,
@@ -50,12 +62,48 @@ def digest(params, optimizer) -> str:
     return h.hexdigest()
 
 
+def eval_digest(evaluate, adaptive, params, cfg, valid) -> str:
+    h = hashlib.sha256()
+    for threshold in EVAL_THRESHOLDS:
+        report = evaluate.evaluate(params, cfg, valid, adaptive.ExitPolicy(threshold), batch=8)
+        h.update(repr(report).encode())  # repr round-trips every float
+    return h.hexdigest()
+
+
+def decode_digest(adaptive, params, cfg, valid, pool) -> str:
+    h = hashlib.sha256()
+    inner = adaptive.decode_step
+    last_cache = None
+
+    def step(cache, token_id, policy=None):  # generate looks decode_step up per call
+        nonlocal last_cache
+        last_cache = cache
+        logits, used = inner(cache, token_id, policy)
+        h.update(logits.tobytes())
+        return logits, used
+
+    adaptive.decode_step = step
+    try:
+        for threshold in DECODE_THRESHOLDS:
+            for start, length in pool[:DECODE_PROMPTS]:
+                res = adaptive.generate(
+                    params, cfg, valid[start : start + length], cfg.t_max - length,
+                    adaptive.ExitPolicy(threshold),
+                )
+                h.update(res.ids.tobytes())
+                h.update(repr(res.cycles_used).encode())
+                h.update(last_cache.depth.tobytes())
+    finally:
+        adaptive.decode_step = inner
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads BLAS
     sys.path.insert(0, args.src)
-    from cycleformer import data, model, train
+    from cycleformer import adaptive, checkpoint, data, evaluate, model, train
     from cycleformer.config import RunConfig, model_config
     from cycleformer.optim import AdamW
 
@@ -85,6 +133,12 @@ def main(argv=None) -> int:
           f"user {(after.ru_utime - before.ru_utime) * 1e3 / n:.1f} ms, "
           f"sys {(after.ru_stime - before.ru_stime) * 1e3 / n:.1f} ms")
     print(f"peak RSS: {after.ru_maxrss / 1024:.1f} MB")
+
+    loaded = checkpoint.load_model(str(FIXED / "ztt_canonical.ckpt"))
+    valid = data.ByteVocabulary().encode((FIXED / "ztt_canonical_valid.bin").read_bytes())
+    pool = json.loads((FIXED / "ztt_canonical.json").read_text())["prompt_pool"]
+    print(f"eval sha256: {eval_digest(evaluate, adaptive, loaded.params, loaded.config, valid)}")
+    print(f"decode sha256: {decode_digest(adaptive, loaded.params, loaded.config, valid, pool)}")
     return 0
 
 

@@ -1,14 +1,15 @@
 """Incremental decoding with per-position adaptive depth.
 
-Each generated position runs the head layer, then middle cycles one at a
+Each generated position runs the schedule's head, then its cycles one at a
 time; after cycle n the position's own zero-slot attention (averaged over
-heads and the cycle's layers) extends a trace, and the first cycle whose
-aggregate reaches the policy threshold triggers an exit through the shared
-tail. Per-slot K/V caches are positionally indexed; when a later position
-runs deeper than an earlier one, the earlier position's skipped middle-cycle
-entries are recomputed lazily (in position order, so every attention read
-sees a complete prefix). A position's tail entry is written once, at its own
-exit, and is never revised by later deepening; its emitted logits are final.
+heads, then aggregated over the cycle's applications) is compared with the
+policy threshold, and the first cycle that reaches it triggers an exit
+through the shared tail. Per-slot K/V caches are positionally indexed;
+when a later position runs deeper than an earlier one, the earlier
+position's skipped middle-cycle entries are recomputed lazily (in position
+order, so every attention read sees a complete prefix). A position's tail
+entry is written once, at its own exit, and is never revised by later
+deepening; its emitted logits are final.
 """
 from __future__ import annotations
 
@@ -52,13 +53,6 @@ def exit_cycle(trace, threshold: float) -> int | None:
     return None
 
 
-def should_exit(trace, policy: ExitPolicy) -> bool:
-    """Pure function of the trace so far; decode calls it after each cycle."""
-    if not policy.adaptive:
-        return False
-    return exit_cycle(trace, policy.threshold) is not None
-
-
 class _Slot:
     __slots__ = ("k", "v", "filled")
 
@@ -70,7 +64,9 @@ class _Slot:
 
 class DecodeCache:
     """Per-application K/V buffers plus the suspended state needed to deepen
-    an early-exited position later (hidden after its last finished cycle)."""
+    an early-exited position later: `h_mid[p]` is position p's hidden state
+    after its last finished cycle and `depth[p]` counts its finished cycles
+    (always 0 for V, which has none)."""
 
     def __init__(self, params: ModelParameters, config: ModelConfig):
         self.params = params
@@ -152,8 +148,11 @@ def _lm_logits_single(params: ModelParameters, h: np.ndarray) -> np.ndarray:
 def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = None):
     """Process one token; returns (next-token logits (V,), cycles used).
 
-    With an adaptive policy the position may exit after any middle cycle;
-    fixed policies always run the full schedule.
+    Walks the schedule's head, its cycles and its tail, as `forward` does.
+    Before cycle n the earlier positions are deepened to n finished cycles.
+    With an adaptive policy the position exits after the first cycle whose
+    aggregated zero-attention reaches the threshold; fixed policies run
+    every cycle.
     """
     policy = policy or ExitPolicy()
     config, schedule = cache.config, cache.schedule
@@ -165,30 +164,22 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
     if t >= config.t_max:
         raise UsageError(f"context is full at t_max={config.t_max} positions")
     h = _embed(cache, token_id, t)
-    n_cycles = config.n_exits
-    used = n_cycles
-    if not config.supports_adaptive_exit:
-        for s in range(len(schedule.applications)):
-            h, _ = _run_slot(cache, s, t, h)
-        cache.depth[t] = n_cycles
-    else:
-        for s in schedule.pre:
-            h, _ = _run_slot(cache, s, t, h)
-        trace: list[float] = []
-        for n in range(1, n_cycles + 1):
-            _ensure_prefix_depth(cache, t, n)
-            zvals = []
-            for s in schedule.by_cycle[n]:
-                h, zmean = _run_slot(cache, s, t, h)
-                zvals.append(zmean)
-            trace.append(aggregate(zvals, policy.aggregation))
-            cache.h_mid[t] = h
-            cache.depth[t] = n
-            if should_exit(trace, policy):
-                used = n
-                break
-        for s in schedule.post:
-            h, _ = _run_slot(cache, s, t, h)
+    used = config.n_exits
+    for s in schedule.pre:
+        h, _ = _run_slot(cache, s, t, h)
+    for n, cycle_slots in schedule.by_cycle.items():
+        _ensure_prefix_depth(cache, t, n)
+        zvals = []
+        for s in cycle_slots:
+            h, zmean = _run_slot(cache, s, t, h)
+            zvals.append(zmean)
+        cache.h_mid[t] = h
+        cache.depth[t] = n
+        if policy.adaptive and aggregate(zvals, policy.aggregation) >= policy.threshold:
+            used = n
+            break
+    for s in schedule.post:
+        h, _ = _run_slot(cache, s, t, h)
     logits = _lm_logits_single(cache.params, h)
     cache.n_pos += 1
     cache.cycles_used.append(used)
@@ -218,8 +209,8 @@ def generate(
     """
     if max_new_tokens < 0:
         raise ConfigError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
-    if math.isnan(temperature):
-        raise ConfigError("temperature must be a number, got nan")
+    if not temperature >= 0.0:  # NaN too
+        raise ConfigError(f"temperature must be >= 0, got {temperature}")
     policy = policy or ExitPolicy()
     prompt = [int(i) for i in np.asarray(prompt_ids, dtype=np.int64).reshape(-1)]
     if not prompt:
@@ -236,7 +227,7 @@ def generate(
     rng = np.random.default_rng(seed)
     new_ids: list[int] = []
     for _ in range(max_new_tokens):
-        if temperature <= 0.0:
+        if temperature == 0.0:
             nxt = int(np.argmax(logits))
         else:
             probs = softmax_np(logits.astype(np.float64) / temperature, axis=-1)

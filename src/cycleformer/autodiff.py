@@ -73,14 +73,13 @@ class Tensor:
     slice).
     """
 
-    __slots__ = ("data", "slot", "name")
+    __slots__ = ("data", "slot")
 
-    def __init__(self, data: np.ndarray, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if data.dtype not in _ALLOWED_DTYPES:
             raise ShapeError(f"unsupported dtype {data.dtype}; use float32 or float64")
         self.data = data
         self.slot = _Slot() if requires_grad else None
-        self.name = name
 
     @property
     def grad_needed(self) -> bool:
@@ -108,26 +107,25 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        tag = self.name or "tensor"
-        return f"Tensor({tag}, shape={self.data.shape}, dtype={self.data.dtype})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-def tensor(data, dtype=None, requires_grad: bool = False, name: str | None = None) -> Tensor:
+def tensor(data, dtype=None, requires_grad: bool = False) -> Tensor:
     """Wrap `data` as a Tensor, defaulting non-float inputs to float32."""
     arr = np.asarray(data)
     if dtype is not None:
         arr = arr.astype(dtype, copy=False)
     elif arr.dtype not in _ALLOWED_DTYPES:
         arr = arr.astype(np.float32)
-    return Tensor(np.array(arr, copy=True), requires_grad=requires_grad, name=name)
+    return Tensor(np.array(arr, copy=True), requires_grad=requires_grad)
 
 
-def parameter(data, dtype=None, name: str | None = None) -> Tensor:
-    return tensor(data, dtype=dtype, requires_grad=True, name=name)
+def parameter(data, dtype=None) -> Tensor:
+    return tensor(data, dtype=dtype, requires_grad=True)
 
 
-def constant(data, dtype=None, name: str | None = None) -> Tensor:
-    return tensor(data, dtype=dtype, requires_grad=False, name=name)
+def constant(data, dtype=None) -> Tensor:
+    return tensor(data, dtype=dtype, requires_grad=False)
 
 
 class Tape:

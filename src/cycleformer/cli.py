@@ -115,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_ids(path: str) -> np.ndarray:
-    return load_corpus(path)
-
-
 def _check_out(path: str) -> None:
     """Reject an output path that cannot be written before any work is done."""
     if os.path.isdir(path):
@@ -135,7 +131,7 @@ def cmd_train(args) -> int:
         rc = replace(rc, corpus_path=args.data)
     if rc.corpus_path is None:
         raise ConfigError("corpus_path is not set; add corpus_path=... or pass --data")
-    ids = _load_ids(rc.corpus_path)
+    ids = load_corpus(rc.corpus_path)
     cfg = model_config(rc)
     plan = plan_from_run(rc)
     params = None
@@ -170,7 +166,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     loaded = load_model(args.ckpt)
-    ids = _load_ids(args.data)
+    ids = load_corpus(args.data)
     policy = _policy(args, loaded.rc)
     report = evaluate(
         loaded.params, loaded.config, ids,
@@ -215,7 +211,7 @@ def cmd_sweep(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("--variants is empty")
-    ids = _load_ids(args.data)
+    ids = load_corpus(args.data)
     train_ids, valid_ids = split_corpus(ids, args.valid_frac)
     rows = budget_sweep(args.budget, variants, train_ids, valid_ids, base, seeds=args.seeds)
     print(format_sweep(rows))

@@ -20,16 +20,9 @@ BOS_ID = 257
 EOS_ID = 258
 VOCAB_SIZE = 259
 
-_SPECIALS = (PAD_ID, BOS_ID, EOS_ID)
-
 
 class ByteVocabulary:
     """Fixed byte vocabulary; encode/decode round-trip any byte string."""
-
-    size = VOCAB_SIZE
-    pad_id = PAD_ID
-    bos_id = BOS_ID
-    eos_id = EOS_ID
 
     def encode(self, data: bytes, add_bos: bool = False) -> np.ndarray:
         ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
@@ -71,7 +64,6 @@ class BatchPlan:
     seq_len: int
     batch: int
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.seq_len < 1 or self.batch < 1:
@@ -84,8 +76,6 @@ def window_count(n_tokens: int, seq_len: int) -> int:
 
 
 def _epoch_order(plan: BatchPlan, n_windows: int, epoch: int) -> np.ndarray:
-    if not plan.shuffle:
-        return np.arange(n_windows)
     return np.random.default_rng((plan.seed, epoch)).permutation(n_windows)
 
 

@@ -101,49 +101,36 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class CycleSchedule:
-    """Flattened application order: (layer, cycle) pairs plus cycle boundaries.
+    """Application order as head, cycles, tail.
 
-    by_cycle[n] lists the indices of the applications that make up cycle n,
-    in order; `pre` and `post` are the indices before the first and after the
-    last cycled application (the head and tail of head-tail variants; every
-    application of V is in `pre`). exit_points[n-1] is the application index
-    that completes cycle n; for head-tail variants the last one is followed
-    by the tail, so the final network output doubles as the last exit.
+    `applications` lists every (layer, cycle) pair in the order it runs.
+    `pre` indexes the applications that run once before the first cycle,
+    `by_cycle[n]` those of cycle n in order, and `post` those that run once
+    after the last cycle: the head and tail of head-tail variants. Cycle n's
+    last application is its exit point; an exit after it runs `post` and the
+    LM head. V has no cycles: every application is in `pre`.
     """
 
     applications: tuple[tuple[int, int], ...]
-    exit_points: tuple[int, ...]
-    cycled_layers: tuple[int, ...]
     by_cycle: dict[int, tuple[int, ...]]
     pre: tuple[int, ...]
     post: tuple[int, ...]
 
-    def layers(self) -> list[int]:
-        return [l for l, _ in self.applications]
-
 
 def build_schedule(config: ModelConfig) -> CycleSchedule:
-    l, n = config.all_layers, config.loop_count
-    cycled = config.cycled_layers
-    if config.variant == "V":
-        apps = [(i, 1) for i in range(1, l + 1)]
-    elif config.variant == "BC":
-        apps = [(i, c) for c in range(1, n + 1) for i in range(1, l + 1)]
-    else:
-        apps = [(1, 1), *((i, c) for c in range(1, n + 1) for i in range(2, l)), (l, 1)]
-    expected = l - len(cycled) + len(cycled) * n if cycled else l
-    assert len(apps) == expected, (len(apps), expected)
-    by_cycle: dict[int, tuple[int, ...]] = {}
-    for idx, (layer, cycle) in enumerate(apps):
-        if layer in cycled:
-            by_cycle[cycle] = by_cycle.get(cycle, ()) + (idx,)
-    if not by_cycle:
-        return CycleSchedule(tuple(apps), (len(apps) - 1,), cycled, {}, tuple(range(len(apps))), ())
-    first, last = by_cycle[1][0], by_cycle[n][-1]
-    exits = tuple(by_cycle[c][-1] for c in range(1, n + 1))
-    return CycleSchedule(
-        tuple(apps), exits, cycled, by_cycle, tuple(range(first)), tuple(range(last + 1, len(apps)))
-    )
+    """Head: the layers before the first cycled layer, once. Then the cycled
+    layers, in order, loop_count times. Tail: the layers after the last
+    cycled layer, once. V has no cycled layers and runs each layer once."""
+    l, n, block = config.all_layers, config.loop_count, config.cycled_layers
+    if not block:
+        return CycleSchedule(tuple((i, 1) for i in range(1, l + 1)), {}, tuple(range(l)), ())
+    head = tuple((i, 1) for i in range(1, block[0]))
+    body = tuple((i, c) for c in range(1, n + 1) for i in block)
+    tail = tuple((i, 1) for i in range(block[-1] + 1, l + 1))
+    h, k = len(head), len(block)
+    by_cycle = {c: tuple(range(h + (c - 1) * k, h + c * k)) for c in range(1, n + 1)}
+    apps = head + body + tail
+    return CycleSchedule(apps, by_cycle, tuple(range(h)), tuple(range(h + n * k, len(apps))))
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +401,11 @@ def forward(
 ) -> ForwardResult:
     """Run the cycled stack on token ids of shape (T,) or (B, T).
 
-    Intermediate exits reuse the shared tail (for head-tail variants) and the
-    shared final norm + LM head on a branch copy of the stream; the main
-    stream continues through every remaining cycle either way.
+    Walks the schedule's head, then each cycle, then its tail, recording
+    telemetry for every application of a cycle. With capture_exits, each
+    cycle but the last also feeds a branch copy of the stream through the
+    shared tail and the shared final norm + LM head; the main stream
+    continues through every remaining cycle either way.
     """
     ids = np.asarray(ids)
     squeeze = ids.ndim == 1
@@ -429,7 +418,6 @@ def forward(
         raise ShapeError(f"sequence length {t} outside [1, t_max={config.t_max}]")
     dtype = params.dtype()
     schedule = build_schedule(config)
-    cycled = set(schedule.cycled_layers)
     mask_plain = build_causal_mask(t, False, dtype)
     mask_zero = build_causal_mask(t, True, dtype) if config.use_zero_token else None
 
@@ -439,16 +427,16 @@ def forward(
 
     telemetry = CycleTelemetry()
     exits: list[Tensor] = []
-    intermediate = set(schedule.exit_points[:-1]) if capture_exits else set()
 
-    for idx, (layer, cycle) in enumerate(schedule.applications):
+    def apply(h: Tensor, idx: int, record: bool = False) -> Tensor:
+        layer, cycle = schedule.applications[idx]
         rec = params.record(layer)
-        zkey = params.pool.get((layer, cycle)) if config.use_zero_token and layer in cycled else None
+        zkey = params.pool.get((layer, cycle))
         h, zattn, _ = attention_with_zero_token(
-            h, rec, zkey, config.n_heads, mask_zero if zkey is not None else mask_plain
+            h, rec, zkey, config.n_heads, mask_plain if zkey is None else mask_zero
         )
         h, gate_np = gated_ffn(h, rec, config.use_gate)
-        if layer in cycled:
+        if record:
             telemetry.add(
                 layer,
                 cycle,
@@ -456,17 +444,21 @@ def forward(
                 float(gate_np.mean()) if gate_np is not None else None,
                 zattn.mean(axis=1) if zattn is not None else None,
             )
-        if idx in intermediate:
-            branch = h
-            for tail_idx in schedule.post:
-                tail_rec = params.record(schedule.applications[tail_idx][0])
-                branch, _, _ = attention_with_zero_token(
-                    branch, tail_rec, None, config.n_heads, mask_plain
-                )
-                branch, _ = gated_ffn(branch, tail_rec, config.use_gate)
-            exits.append(_lm_logits(branch, params))
+        return h
 
-    exits.append(_lm_logits(h, params))
+    def finish(h: Tensor) -> Tensor:
+        for idx in schedule.post:
+            h = apply(h, idx)
+        return _lm_logits(h, params)
+
+    for idx in schedule.pre:
+        h = apply(h, idx)
+    for n, cycle_apps in schedule.by_cycle.items():
+        for idx in cycle_apps:
+            h = apply(h, idx, record=True)
+        if capture_exits and n < len(schedule.by_cycle):
+            exits.append(finish(h))
+    exits.append(finish(h))
     if squeeze:
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
     return ForwardResult(exits, telemetry)

@@ -23,9 +23,11 @@ from .model import ModelConfig, ModelParameters, forward, init_parameters
 from .optim import AdamW
 from .telemetry import CycleTelemetry
 
-METRICS_HEADER = (
-    "step,split,exit,loss,ppl,cycle,zero_attn_mean,gate_mean,lr,avg_loop,step_ms,tok_s,grad_norm"
+METRICS_COLUMNS = (
+    "step", "split", "exit", "loss", "ppl", "cycle", "zero_attn_mean", "gate_mean",
+    "lr", "avg_loop", "step_ms", "tok_s", "grad_norm",
 )
+METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class TrainPlan:
     warmup_frac: float = 0.01
     weight_decay: float = 0.01
     seed: int = 0
-    exit_loss_weights: tuple[float, ...] | None = None
     log_interval: int = 50
 
     def __post_init__(self):
@@ -53,10 +54,6 @@ class TrainPlan:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
-        if self.exit_loss_weights is not None:
-            w = self.exit_loss_weights
-            if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-6:
-                raise ConfigError(f"exit loss weights must be nonnegative and sum to 1, got {w}")
 
 
 def plan_from_run(rc: RunConfig) -> TrainPlan:
@@ -76,25 +73,17 @@ def learning_rate_at(step: int, plan: TrainPlan) -> float:
     return plan.lr * 0.5 * (1.0 + math.cos(math.pi * min(progress, 1.0)))
 
 
-def multi_exit_loss(
-    exit_logits: list[Tensor],
-    targets: np.ndarray,
-    weights: tuple[float, ...] | None = None,
-) -> tuple[Tensor, list[float]]:
-    """Weighted sum of per-exit mean NLL (uniform by default).
+def multi_exit_loss(exit_logits: list[Tensor], targets: np.ndarray) -> tuple[Tensor, list[float]]:
+    """Mean over exits of each exit's mean NLL.
 
     Gradients flow through every exit; intermediate exits share the tail and
     head, so deep supervision reaches the cycled block at every depth.
     """
-    k = len(exit_logits)
-    if weights is None:
-        weights = tuple(1.0 / k for _ in range(k))
-    if len(weights) != k:
-        raise ConfigError(f"{len(weights)} exit weights for {k} exits")
+    w = 1.0 / len(exit_logits)
     flat_targets = targets.reshape(-1)
     total = None
     per_exit: list[float] = []
-    for w, logits in zip(weights, exit_logits):
+    for logits in exit_logits:
         v = logits.shape[-1]
         flat = ad.reshape(logits, (-1, v)) if logits.data.ndim == 3 else logits
         ce = ad.cross_entropy(flat, flat_targets)
@@ -105,7 +94,7 @@ def multi_exit_loss(
 
 
 class MetricsWriter:
-    """Append-friendly CSV stream with one fixed header.
+    """Append-friendly CSV stream with one fixed header, `METRICS_COLUMNS`.
 
     Appending to a file whose header is not `METRICS_HEADER` (one written by
     an older version, say) raises ConfigError instead of misaligning rows.
@@ -134,28 +123,15 @@ class MetricsWriter:
             return str(int(value))
         return f"{float(value):.6g}"
 
-    def row(
-        self,
-        step: int,
-        split: str,
-        exit_index=None,
-        loss=None,
-        ppl=None,
-        cycle=None,
-        zero_attn=None,
-        gate=None,
-        lr=None,
-        avg_loop=None,
-        step_ms=None,
-        tok_s=None,
-        grad_norm=None,
-    ) -> None:
-        cells = [
-            str(step), split, self._fmt(exit_index), self._fmt(loss), self._fmt(ppl),
-            self._fmt(cycle), self._fmt(zero_attn), self._fmt(gate), self._fmt(lr),
-            self._fmt(avg_loop), self._fmt(step_ms), self._fmt(tok_s), self._fmt(grad_norm),
-        ]
-        self._fh.write(",".join(cells) + "\n")
+    def row(self, step: int, split: str, **cells) -> None:
+        """One line; `cells` maps the other columns' names to values, and a
+        column left out is written empty."""
+        columns = METRICS_COLUMNS[2:]
+        unknown = sorted(cells.keys() - columns)
+        if unknown:
+            raise TypeError(f"unknown metrics columns {unknown}")
+        line = [str(step), split, *(self._fmt(cells.get(c)) for c in columns)]
+        self._fh.write(",".join(line) + "\n")
 
     def flush(self) -> None:
         self._fh.flush()
@@ -182,10 +158,12 @@ def _log_step(metrics, step, per_exit, telemetry: CycleTelemetry, **shared):
     """Write a step's per-exit and per-cycle rows; `shared` (lr and the step's
     timing and grad norm) goes on every row."""
     for i, loss in enumerate(per_exit, start=1):
-        metrics.row(step, "train", exit_index=i, loss=loss, ppl=math.exp(min(loss, 30.0)), **shared)
+        metrics.row(step, "train", exit=i, loss=loss, ppl=math.exp(min(loss, 30.0)), **shared)
     zattn, gates = telemetry.zero_attn_by_cycle(), telemetry.gate_by_cycle()
     for cycle in zattn or gates:
-        metrics.row(step, "train", cycle=cycle, zero_attn=zattn.get(cycle), gate=gates.get(cycle), **shared)
+        metrics.row(
+            step, "train", cycle=cycle, zero_attn_mean=zattn.get(cycle), gate_mean=gates.get(cycle), **shared
+        )
     metrics.flush()
 
 
@@ -228,11 +206,6 @@ def train(
     named = params.named()
     if optimizer is None:
         optimizer = AdamW(named, weight_decay=plan.weight_decay)
-    if config.early_exit_heads and plan.exit_loss_weights is not None:
-        if len(plan.exit_loss_weights) != config.n_exits:
-            raise ConfigError(
-                f"{len(plan.exit_loss_weights)} exit weights for {config.n_exits} exits"
-            )
     bp = BatchPlan(seq_len=config.t_max, batch=plan.batch, seed=plan.seed)
     end = plan.steps if stop_step is None else min(stop_step, plan.steps)
     losses: list[float] = []
@@ -248,8 +221,7 @@ def train(
             inputs, targets = next_batch(bp, train_ids, step * plan.grad_accum + micro)
             with Tape() as tape:
                 res = forward(inputs, params, config, capture_exits=config.early_exit_heads)
-                weights = plan.exit_loss_weights if config.early_exit_heads else None
-                loss, per_exit = multi_exit_loss(res.exit_logits, targets, weights)
+                loss, per_exit = multi_exit_loss(res.exit_logits, targets)
                 scaled = ad.scale(loss, 1.0 / plan.grad_accum)
             telemetry.records += res.telemetry.records
             del res  # no rule reads the exit logits; free them before the sweep

@@ -23,7 +23,6 @@ from cycleformer.adaptive import (
     decode_step,
     exit_cycle,
     generate,
-    should_exit,
 )
 from cycleformer.autodiff import layer_norm_np, softmax_np, gelu_np
 from cycleformer.checkpoint import load_model
@@ -64,20 +63,20 @@ def test_pinned_trace_exit_cycles():
 
 def test_threshold_zero_exits_immediately():
     assert exit_cycle(PINNED_TRACE, 0.0) == 1
-    assert should_exit([0.0], ExitPolicy(threshold=0.0))
+    assert exit_cycle([0.0], ExitPolicy(threshold=0.0).threshold) == 1
 
 
-def test_should_exit_consumes_prefixes():
-    policy = ExitPolicy(threshold=0.5)
-    assert not should_exit(PINNED_TRACE[:1], policy)
-    assert not should_exit(PINNED_TRACE[:2], policy)
-    assert should_exit(PINNED_TRACE[:3], policy)
-    assert should_exit(PINNED_TRACE, policy)
+def test_exit_cycle_consumes_prefixes():
+    threshold = ExitPolicy(threshold=0.5).threshold
+    assert exit_cycle(PINNED_TRACE[:1], threshold) is None
+    assert exit_cycle(PINNED_TRACE[:2], threshold) is None
+    assert exit_cycle(PINNED_TRACE[:3], threshold) == 3
+    assert exit_cycle(PINNED_TRACE, threshold) == 3
 
 
 def test_fixed_policy_never_exits():
-    assert not should_exit(PINNED_TRACE, ExitPolicy())
     assert not ExitPolicy().adaptive
+    assert ExitPolicy().threshold is None
 
 
 def test_policy_validation():
@@ -111,12 +110,24 @@ def test_exit_cycle_monotone_in_threshold(trace, t1, t2):
 # fixed-depth incremental decode equals the batch forward
 
 
+FIXED_DECODE_CASES = {
+    "ZTT-4-3": ("ZTT", 4, 3, {}),
+    "ZTT-3-4": ("ZTT", 3, 4, {}),
+    "HTC-4-2": ("HTC", 4, 2, {}),
+    "BC-3-2": ("BC", 3, 2, {}),
+    "V-3-1": ("V", 3, 1, {}),
+    # zero-token keys on every application of a variant without head and tail
+    "BC-3-2-zero-token": ("BC", 3, 2, {"use_zero_token": True}),
+    # a head-tail variant that cannot exit early
+    "ZTT-4-3-plain": ("ZTT", 4, 3, {"use_zero_token": False, "use_gate": False}),
+}
+
+
 @pytest.mark.parametrize(
-    "variant,l,n",
-    [("ZTT", 4, 3), ("ZTT", 3, 4), ("HTC", 4, 2), ("BC", 3, 2), ("V", 3, 1)],
+    "variant,l,n,kw", FIXED_DECODE_CASES.values(), ids=FIXED_DECODE_CASES.keys()
 )
-def test_fixed_decode_matches_batch_forward(variant, l, n):
-    cfg, params = make_model(variant, l, n, seed=7)
+def test_fixed_decode_matches_batch_forward(variant, l, n, kw):
+    cfg, params = make_model(variant, l, n, seed=7, **kw)
     rng = np.random.default_rng(11)
     for trial in range(6):
         t = int(rng.integers(1, cfg.t_max + 1))

@@ -214,6 +214,7 @@ FLAG_FAULTS = [
     (["eval", "--batch", "0"], "batch"),
     (["eval", "--batch", "-2"], "batch"),
     (["generate", "--temperature", "nan"], "temperature"),
+    (["generate", "--temperature", "-1"], "temperature"),
     (["generate", "--max-tokens", "-3"], "max_new_tokens"),
     (["generate", "--seed", "-1"], "--seed"),
     (["retrofit", "--loop-count", "2", "--seed", "-1"], "--seed"),

@@ -146,4 +146,4 @@ def test_model_config_and_plan_read_the_fields_of_the_same_name():
     )
     # the only plan settings a run file cannot set
     run_keys = {f.name for f in fields(RunConfig)}
-    assert {f.name for f in fields(TrainPlan)} - run_keys == {"exit_loss_weights", "log_interval"}
+    assert {f.name for f in fields(TrainPlan)} - run_keys == {"log_interval"}

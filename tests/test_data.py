@@ -25,7 +25,6 @@ from cycleformer.errors import DataError
 def test_vocabulary_constants():
     assert VOCAB_SIZE == 259
     assert (PAD_ID, BOS_ID, EOS_ID) == (256, 257, 258)
-    assert ByteVocabulary().size == 259
 
 
 @given(st.binary(max_size=512))
@@ -46,14 +45,6 @@ def test_bos_prefix_is_optional_and_dropped_on_decode():
 def test_decode_rejects_out_of_vocab_ids():
     with pytest.raises(DataError):
         ByteVocabulary().decode(np.array([0, 259]))
-
-
-def test_first_window_no_shuffle_is_pinned():
-    ids = np.arange(1, 11)  # tokens 1..10
-    plan = BatchPlan(seq_len=4, batch=1, shuffle=False)
-    inputs, targets = next_batch(plan, ids, step=0)
-    assert inputs.tolist() == [[1, 2, 3, 4]]
-    assert targets.tolist() == [[2, 3, 4, 5]]
 
 
 def test_targets_are_inputs_shifted_left():

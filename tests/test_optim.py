@@ -9,7 +9,7 @@ from cycleformer.optim import AdamW
 
 def test_decay_only_step_shrinks_weight_exactly():
     # Zero gradient, wd=0.01, lr=0.1: w <- 0.999 * w.
-    w = parameter(np.array(1.0), dtype=np.float64, name="w")
+    w = parameter(np.array(1.0), dtype=np.float64)
     opt = AdamW({"w": w}, weight_decay=0.01)
     w.grad = np.asarray(0.0)
     opt.step(lr=0.1)

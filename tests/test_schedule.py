@@ -14,18 +14,28 @@ def cfg(variant, l, n, **kw):
     return ModelConfig(variant=variant, all_layers=l, loop_count=n, **kw)
 
 
+def layers(s):
+    return [l for l, _ in s.applications]
+
+
+def exit_points(s):
+    """The application that completes each cycle, in cycle order."""
+    return tuple(g[-1] for g in s.by_cycle.values())
+
+
 def test_pinned_htc_schedule():
-    s = build_schedule(cfg("HTC", 3, 4))
-    assert s.layers() == [1, 2, 2, 2, 2, 3]
+    c = cfg("HTC", 3, 4)
+    s = build_schedule(c)
+    assert layers(s) == [1, 2, 2, 2, 2, 3]
     assert len(s.applications) == 6
-    assert s.cycled_layers == (2,)
-    assert [s.applications[i] for i in s.exit_points] == [(2, 1), (2, 2), (2, 3), (2, 4)]
+    assert c.cycled_layers == (2,)
+    assert [s.applications[i] for i in exit_points(s)] == [(2, 1), (2, 2), (2, 3), (2, 4)]
 
 
 def test_pinned_bc_schedule():
     s = build_schedule(cfg("BC", 3, 2))
-    assert s.layers() == [1, 2, 3, 1, 2, 3]
-    assert s.exit_points == (2, 5)
+    assert layers(s) == [1, 2, 3, 1, 2, 3]
+    assert exit_points(s) == (2, 5)
 
 
 @pytest.mark.parametrize(
@@ -43,30 +53,30 @@ def test_pinned_cycle_groups(variant, l, n, pre, by_cycle, post):
     assert s.pre == pre
     assert s.by_cycle == by_cycle
     assert s.post == post
-    # the groups tile the schedule, and each cycle ends at its exit point
-    assert sorted([*pre, *(i for g in by_cycle.values() for i in g), *post]) == list(
+    # the groups tile the schedule in order: head, cycles, tail
+    assert [*pre, *(i for g in by_cycle.values() for i in g), *post] == list(
         range(len(s.applications))
     )
-    if by_cycle:
-        assert s.exit_points == tuple(g[-1] for g in by_cycle.values())
 
 
 def test_vanilla_schedule_is_plain_order():
-    s = build_schedule(cfg("V", 5, 1))
-    assert s.layers() == [1, 2, 3, 4, 5]
-    assert s.cycled_layers == ()
-    assert s.exit_points == (4,)
+    c = cfg("V", 5, 1)
+    s = build_schedule(c)
+    assert layers(s) == [1, 2, 3, 4, 5]
+    assert c.cycled_layers == ()
+    # no cycles: the only exit is the full network's, after the last layer
+    assert s.by_cycle == {} and s.pre[-1] == 4 and s.post == ()
 
 
 def test_single_layer_single_cycle():
     s = build_schedule(cfg("V", 1, 1))
-    assert s.layers() == [1]
+    assert layers(s) == [1]
 
 
 def test_loop_count_one_reduces_to_vanilla_order():
     for variant, l in (("BC", 4), ("HTC", 4), ("ZTT", 4)):
         s = build_schedule(cfg(variant, l, 1))
-        assert s.layers() == [1, 2, 3, 4], variant
+        assert layers(s) == [1, 2, 3, 4], variant
 
 
 def test_matched_budget_layouts_share_length():
@@ -76,8 +86,9 @@ def test_matched_budget_layouts_share_length():
 
 
 def test_cycle_indices_partition_applications():
-    s = build_schedule(cfg("ZTT", 5, 3))
-    for layer in s.cycled_layers:
+    c = cfg("ZTT", 5, 3)
+    s = build_schedule(c)
+    for layer in c.cycled_layers:
         cycles = [c for (l, c) in s.applications if l == layer]
         assert cycles == [1, 2, 3]
     for layer in (1, 5):

@@ -82,8 +82,6 @@ def test_plan_validation():
             TrainPlan(steps=1, weight_decay=bad)
     with pytest.raises(ConfigError):
         TrainPlan(steps=1, warmup_frac=1.5)
-    with pytest.raises(ConfigError):
-        TrainPlan(steps=1, exit_loss_weights=(0.7, 0.7))
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +100,6 @@ def test_multi_exit_loss_is_weighted_mean_of_exit_nll():
     total, per_exit = multi_exit_loss(res.exit_logits, targets)
     assert total.item() == pytest.approx(sum(per_exit) / len(per_exit), rel=1e-12)
 
-    weighted, _ = multi_exit_loss(res.exit_logits, targets, weights=(0.25, 0.75))
-    assert weighted.item() == pytest.approx(0.25 * per_exit[0] + 0.75 * per_exit[1], rel=1e-12)
-
-    with pytest.raises(ConfigError):
-        multi_exit_loss(res.exit_logits, targets, weights=(1.0,))
-
 
 def test_multi_exit_loss_routes_gradient_to_every_exit():
     # a weight used only by the intermediate exit's branch (the tail record is
@@ -119,7 +111,7 @@ def test_multi_exit_loss_routes_gradient_to_every_exit():
     targets = rng.integers(0, cfg.vocab, size=(1, 5))
     with Tape() as tape:
         res = forward(ids, params, cfg, capture_exits=True)
-        loss, _ = multi_exit_loss(res.exit_logits, targets, weights=(1.0, 0.0))
+        loss, _ = multi_exit_loss(res.exit_logits[:1], targets)  # the intermediate exit alone
     ad.backward(tape, loss)
     mid = params.record(2)
     assert mid.wq.grad is not None and np.abs(mid.wq.grad).max() > 0
@@ -259,8 +251,10 @@ def test_tape_holds_no_more_than_the_op_outputs(monkeypatch):
 def test_metrics_header_and_append(tmp_path):
     path = os.fspath(tmp_path / "m.csv")
     with MetricsWriter(path) as m:
-        m.row(0, "train", exit_index=1, loss=2.5, ppl=12.18, lr=1e-3)
-        m.row(0, "train", cycle=1, zero_attn=0.21, gate=0.9, lr=1e-3)
+        m.row(0, "train", exit=1, loss=2.5, ppl=12.18, lr=1e-3)
+        m.row(0, "train", cycle=1, zero_attn_mean=0.21, gate_mean=0.9, lr=1e-3)
+        with pytest.raises(TypeError, match="zero_attn"):
+            m.row(0, "train", zero_attn=0.21)  # a column is named by its header
     with MetricsWriter(path, append=True) as m:
         m.row(1, "valid", loss=2.4, ppl=11.0, avg_loop=1.5)
     lines = open(path).read().splitlines()
@@ -460,13 +454,6 @@ def test_grad_accum_logs_telemetry_of_every_micro_batch(tmp_path):
     assert logged.keys() == per_micro[0].keys()
     for cycle, z in logged.items():
         assert z == pytest.approx((per_micro[0][cycle] + per_micro[1][cycle]) / 2, rel=1e-5)
-
-
-def test_exit_weight_count_must_match_exits():
-    cfg = tiny_config()  # two exits
-    plan = TrainPlan(steps=1, batch=2, exit_loss_weights=(0.2, 0.3, 0.5))
-    with pytest.raises(ConfigError):
-        train(cfg, plan, tiny_corpus())
 
 
 def test_train_vanilla_single_exit():
