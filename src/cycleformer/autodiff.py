@@ -13,6 +13,13 @@ ops are plain inference code. Only float32/float64 are supported; float32 is
 the training dtype, float64 the verification dtype for finite-difference
 checks.
 
+`model.py`'s attention and FFN blocks each record one entry through
+`_finish` in place of a chain of primitives. Their rules call the same array
+kernels as the primitives (`layer_norm_grad`, `gelu_grad`, `matmul_grad`,
+...) in the order the chain's records ran, so gradients are bitwise those of
+the chain. An input used twice is listed twice, once per term, because the
+sweep adds each term on its own and addition order moves the bits.
+
 A record holds no `Tensor`. Each rule binds, when its op runs, exactly the
 arrays its formula reads (both operands of a matmul, `xhat` and `inv` of a
 layer norm, a softmax's output, ...) and otherwise only shapes, dtypes and
@@ -29,10 +36,11 @@ That is safe under one aliasing contract: the gradients one rule returns must
 not overlap in memory unless they are the identical object. Today `concat`
 returns disjoint slices of its output gradient, `reshape` and `transpose`
 return views of an output gradient nobody reads after their rule, `add`
-returns its output gradient for both inputs, and every other rule returns
-fresh arrays. The sweep copies an identical object for every input after the
-first that adopts it; `add(h, h)` needs no copy, since its second write is
-`h.grad += g` with `h.grad is g`.
+returns its output gradient for both inputs, the block rules return it for
+their residual input, and every other rule returns fresh arrays. The sweep
+copies an identical object for every input after the first that adopts it;
+`add(h, h)` needs no copy, since its second write is `h.grad += g` with
+`h.grad is g`.
 """
 from __future__ import annotations
 
@@ -255,6 +263,104 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# array kernels shared by the primitives below and the fused block records in
+# model.py, so each forward and backward formula exists once
+
+
+def layer_norm_parts(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the trailing axis: (output, xhat, inv), where xhat is
+    the normalized input and inv the per-row 1/sqrt(var + eps).
+
+    Works in two fresh full-size buffers, in place (fewer allocations, fewer
+    page faults); the operations and their order are those of the plain
+    formulas, so results are bitwise the same.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    y = xhat * xhat
+    var = np.mean(y, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat *= inv
+    return layer_norm_affine(xhat, gamma, beta, out=y), xhat, inv
+
+
+def layer_norm_affine(
+    xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """xhat * gamma + beta: the layer norm output, rebuilt bitwise from xhat."""
+    out = np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
+
+
+def layer_norm_grad(
+    g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of `layer_norm_parts` w.r.t. (x, gamma, beta) given the
+    output's gradient `g`."""
+    d = xhat.shape[-1]
+    lead = tuple(range(g.ndim - 1))
+    dxhat = g * gamma
+    s1 = np.sum(dxhat, axis=-1, keepdims=True)
+    tmp = dxhat * xhat
+    s2 = np.sum(tmp, axis=-1, keepdims=True)
+    np.multiply(g, xhat, out=tmp)
+    g_gamma = np.sum(tmp, axis=lead)
+    np.multiply(xhat, s2, out=tmp)
+    # gx = (inv / d) * (d * dxhat - s1 - xhat * s2), built in dxhat.
+    dxhat *= d
+    dxhat -= s1
+    dxhat -= tmp
+    dxhat *= inv / d
+    return dxhat, g_gamma, np.sum(g, axis=lead)
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of GELU at `x` given its output's gradient `g` and the tanh
+    term `t` of `_gelu_parts(x)`.
+
+    d/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3A x^2), with
+    1 - t^2 taken as (1 - t) * (1 + t), reusing the 1 + t of the first term.
+    """
+    d = x * x
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= _GELU_C
+    d *= x
+    s = 1.0 - t
+    d *= s
+    np.add(t, 1.0, out=s)
+    d *= s
+    d += s
+    d *= 0.5
+    d *= g
+    return d
+
+
+def softmax_grad(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Gradient of a softmax with output `s` given that output's gradient."""
+    inner = np.sum(g * s, axis=axis, keepdims=True)
+    return s * (g - inner)
+
+
+def sigmoid_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a sigmoid with output `s` given that output's gradient."""
+    return g * s * (1.0 - s)
+
+
+def matmul_grad(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of a @ b w.r.t. a and b given the product's gradient."""
+    return np.matmul(g, np.swapaxes(b, -1, -2)), np.matmul(np.swapaxes(a, -1, -2), g)
+
+
+def bias_grad(g: np.ndarray) -> np.ndarray:
+    """Gradient of a trailing-axis bias: `g` summed over every leading axis."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
 
@@ -291,7 +397,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data + b.data)
 
     def rule(g):
-        return g, g.reshape(-1, g.shape[-1]).sum(axis=0)
+        return g, bias_grad(g)
 
     return _finish(out, rule, x, b)
 
@@ -343,9 +449,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.matmul(av, bv))
 
     def rule(g):
-        ga = np.matmul(g, np.swapaxes(bv, -1, -2))
-        gb = np.matmul(np.swapaxes(av, -1, -2), g)
-        return ga, gb
+        return matmul_grad(av, bv, g)
 
     return _finish(out, rule, a, b)
 
@@ -449,42 +553,17 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine.
-
-    Each pass allocates two full-size buffers and works in them in place
-    (fewer allocations, fewer page faults); the operations and their order
-    are those of the plain formulas, so results are bitwise the same.
-    """
+    """Normalize the trailing axis to zero mean / unit variance, then affine."""
     _same_dtype(x, gamma, beta)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} != ({d},)")
     gd = gamma.data
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    y = xhat * xhat
-    var = np.mean(y, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat *= inv
-    np.multiply(xhat, gd, out=y)
-    y += beta.data
+    y, xhat, inv = layer_norm_parts(x.data, gd, beta.data, eps)
     out = Tensor(y)
 
     def rule(g):
-        lead = tuple(range(g.ndim - 1))
-        dxhat = g * gd
-        s1 = np.sum(dxhat, axis=-1, keepdims=True)
-        tmp = dxhat * xhat
-        s2 = np.sum(tmp, axis=-1, keepdims=True)
-        np.multiply(g, xhat, out=tmp)
-        g_gamma = np.sum(tmp, axis=lead)
-        np.multiply(xhat, s2, out=tmp)
-        # gx = (inv / d) * (d * dxhat - s1 - xhat * s2), built in dxhat.
-        dxhat *= d
-        dxhat -= s1
-        dxhat -= tmp
-        dxhat *= inv / d
-        return dxhat, g_gamma, np.sum(g, axis=lead)
+        return layer_norm_grad(g, xhat, inv, gd)
 
     return _finish(out, rule, x, gamma, beta)
 
@@ -497,8 +576,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = Tensor(s)
 
     def rule(g):
-        inner = np.sum(g * s, axis=axis, keepdims=True)
-        return (s * (g - inner),)
+        return (softmax_grad(s, g, axis),)
 
     return _finish(out, rule, x)
 
@@ -509,22 +587,7 @@ def gelu(x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def rule(g):
-        # d/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3A x^2),
-        # with 1 - t^2 taken as (1 - t) * (1 + t), reusing the 1 + t of
-        # the first term.
-        d = xd * xd
-        d *= 3.0 * _GELU_A
-        d += 1.0
-        d *= _GELU_C
-        d *= xd
-        s = 1.0 - t
-        d *= s
-        np.add(t, 1.0, out=s)
-        d *= s
-        d += s
-        d *= 0.5
-        d *= g
-        return (d,)
+        return (gelu_grad(xd, t, g),)
 
     return _finish(out, rule, x)
 
@@ -534,7 +597,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(s)
 
     def rule(g):
-        return (g * s * (1.0 - s),)
+        return (sigmoid_grad(s, g),)
 
     return _finish(out, rule, x)
 

@@ -189,6 +189,8 @@ def load_model(path: str) -> LoadedModel:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, config implies {t.data.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} is not finite")
         t.data[...] = arr
     if optim_state:  # weights-only checkpoints (retrofit output) carry none
         _check_optim_state(path, named, optim_state)

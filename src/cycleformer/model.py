@@ -303,6 +303,17 @@ def build_causal_mask(t: int, zero_slot: bool, dtype=np.float32) -> np.ndarray:
     return np.concatenate([np.zeros((t, 1), dtype=dtype), base], axis=1)
 
 
+def _split_heads(m: np.ndarray, b: int, t: int, n_heads: int) -> np.ndarray:
+    """(B*T, d) -> (B, heads, T, head_dim), a view."""
+    return np.transpose(np.reshape(m, (b, t, n_heads, -1)), (0, 2, 1, 3))
+
+
+def _merge_heads(m: np.ndarray) -> np.ndarray:
+    """(B, heads, T, head_dim) -> a fresh (B*T, d)."""
+    b, n_heads, t, hd = m.shape
+    return np.reshape(np.transpose(m, (0, 2, 1, 3)), (b * t, n_heads * hd))
+
+
 def attention_with_zero_token(
     h: Tensor,
     rec: LayerParameters,
@@ -316,39 +327,83 @@ def attention_with_zero_token(
     `zkey`) whose value row is all zeros and which is visible to every query;
     it emits no query of its own. Returns (H_in + attention output, slot-0
     weight per (batch, head, query) or None, full attention weights).
+
+    One tape record covers the block. It saves the layer norm's xhat and inv,
+    the queries, the keys and values with their zero slot, and the attention
+    weights; backward rebuilds the layer norm output and the head-merged mix.
     """
     b, t, d = h.shape
     if d % n_heads != 0:
         raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
     hd = d // n_heads
-    x = ad.layer_norm(h, rec.ln1_g, rec.ln1_b)
-    flat = ad.reshape(x, (b * t, d))
-
-    def heads(m: Tensor) -> Tensor:
-        return ad.transpose(ad.reshape(m, (b, t, n_heads, hd)), (0, 2, 1, 3))
-
-    q = heads(ad.matmul(flat, rec.wq))
-    k = heads(ad.matmul(flat, rec.wk))
-    v = heads(ad.matmul(flat, rec.wv))
+    inputs = [h, h, rec.ln1_g, rec.ln1_b, rec.wq, rec.wk, rec.wv, rec.wo]
     if zkey is not None:
         if zkey.shape != (d,):
             raise ShapeError(f"zero-token key shape {zkey.shape} != ({d},)")
-        zk = ad.expand(ad.reshape(zkey, (1, n_heads, 1, hd)), (b, n_heads, 1, hd))
-        k = ad.concat([zk, k], axis=2)
-        zv = ad.constant(np.zeros((b, n_heads, 1, hd)), dtype=h.dtype)
-        v = ad.concat([zv, v], axis=2)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+        inputs.append(zkey)
+    dtype = ad._same_dtype(*inputs)
+    zero_slot = zkey is not None
+    keys = t + (1 if zero_slot else 0)
     if causal_mask is None:
-        causal_mask = build_causal_mask(t, zkey is not None, dtype=h.dtype)
-    if causal_mask.shape != (t, t + (1 if zkey is not None else 0)):
-        raise ShapeError(f"causal mask shape {causal_mask.shape} does not fit {scores.shape}")
-    weights = ad.softmax(ad.add_const(scores, causal_mask), axis=-1)
-    mix = ad.matmul(weights, v)
-    mix = ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b * t, d))
-    out = ad.reshape(ad.matmul(mix, rec.wo), (b, t, d))
-    h_att = ad.add(h, out)
-    zero_attn = weights.data[..., 0].copy() if zkey is not None else None
-    return h_att, zero_attn, weights
+        causal_mask = build_causal_mask(t, zero_slot, dtype=dtype)
+    if causal_mask.shape != (t, keys):
+        raise ShapeError(
+            f"causal mask shape {causal_mask.shape} does not fit {(b, n_heads, t, keys)} scores"
+        )
+    gamma, beta = rec.ln1_g.data, rec.ln1_b.data
+    wq, wk, wv, wo = rec.wq.data, rec.wk.data, rec.wv.data, rec.wo.data
+    y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
+    flat = np.reshape(y, (b * t, d))
+    q = _split_heads(np.matmul(flat, wq), b, t, n_heads)
+    k = _split_heads(np.matmul(flat, wk), b, t, n_heads)
+    v = _split_heads(np.matmul(flat, wv), b, t, n_heads)
+    del y, flat
+    if zero_slot:
+        zk = np.broadcast_to(np.reshape(zkey.data, (1, n_heads, 1, hd)), (b, n_heads, 1, hd))
+        k = np.concatenate([np.ascontiguousarray(zk), k], axis=2)
+        v = np.concatenate([np.zeros((b, n_heads, 1, hd), dtype=dtype), v], axis=2)
+    scale = float(1.0 / np.sqrt(hd))
+    scores = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
+    scores *= dtype.type(scale)  # in place: the bits of the out-of-place form, one buffer fewer
+    scores += np.asarray(causal_mask, dtype=dtype)
+    weights = ad.softmax_np(scores, axis=-1)
+    del scores
+    out = np.matmul(_merge_heads(np.matmul(weights, v)), wo)
+    h_att = Tensor(h.data + np.reshape(out, (b, t, d)))
+    del out
+
+    def rule(g):
+        go = np.reshape(g, (b * t, d))
+        g_mix, g_wo = ad.matmul_grad(_merge_heads(np.matmul(weights, v)), wo, go)
+        g_w, g_v = ad.matmul_grad(weights, v, _split_heads(g_mix, b, t, n_heads))
+        del g_mix
+        g_scores = ad.softmax_grad(weights, g_w) * scale
+        del g_w
+        g_q, g_kt = ad.matmul_grad(q, np.transpose(k, (0, 1, 3, 2)), g_scores)
+        del g_scores
+        g_k = np.transpose(g_kt, (0, 1, 3, 2))
+        grads = []
+        if zero_slot:
+            # The zero slot's key is broadcast over the batch; its value is a
+            # constant, so the value gradient's slot 0 is dropped.
+            g_z = np.sum(g_k[:, :, 0:1, :], axis=(0,) if b != 1 else (), keepdims=True)
+            grads.append(np.reshape(g_z, (d,)))
+            g_k, g_v = g_k[:, :, 1:, :], g_v[:, :, 1:, :]
+        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
+        # Accumulate in the order the per-op tape did: v, then k, then q.
+        g_flat, g_wv = ad.matmul_grad(flat, wv, _merge_heads(g_v))
+        g_part, g_wk = ad.matmul_grad(flat, wk, _merge_heads(g_k))
+        g_flat += g_part
+        g_part, g_wq = ad.matmul_grad(flat, wq, _merge_heads(g_q))
+        g_flat += g_part
+        del flat, g_part
+        g_x, g_gamma, g_beta = ad.layer_norm_grad(np.reshape(g_flat, (b, t, d)), xhat, inv, gamma)
+        # h appears twice: its residual term, then its layer-norm term.
+        return (g, g_x, g_gamma, g_beta, g_wq, g_wk, g_wv, g_wo, *grads)
+
+    ad._finish(h_att, rule, *inputs)
+    zero_attn = weights[..., 0].copy() if zero_slot else None
+    return h_att, zero_attn, Tensor(weights)
 
 
 def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, np.ndarray | None]:
@@ -356,20 +411,63 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
 
     With use_gate the update is FFN(LN(h)) * sigmoid(LN(h) @ gw + gb); with it
     off the multiply is skipped entirely, so disabling the gate is exact.
+
+    One tape record covers the block. It saves the layer norm's xhat and inv,
+    the GELU input and, with the gate, the ungated output and the gate;
+    backward rebuilds the layer norm output and the GELU output and tanh term.
     """
     b, t, d = h.shape
-    x = ad.layer_norm(h, rec.ln2_g, rec.ln2_b)
-    flat = ad.reshape(x, (b * t, d))
-    a = ad.gelu(ad.add_bias(ad.matmul(flat, rec.w1), rec.b1))
-    o = ad.add_bias(ad.matmul(a, rec.w2), rec.b2)
-    gate_np = None
+    inputs = [h, h, rec.ln2_g, rec.ln2_b, rec.w1, rec.b1, rec.w2, rec.b2]
     if use_gate:
         if rec.gate_w is None:
             raise ShapeError("gating requested but this layer has no gate affine")
-        g = ad.sigmoid(ad.add_bias(ad.matmul(flat, rec.gate_w), rec.gate_b))
-        o = ad.scale_rows(o, g)
-        gate_np = g.data.reshape(b, t).copy()
-    h_f = ad.add(h, ad.reshape(o, (b, t, d)))
+        inputs += [rec.gate_w, rec.gate_b]
+    ad._same_dtype(*inputs)
+    gamma, beta = rec.ln2_g.data, rec.ln2_b.data
+    w1, w2 = rec.w1.data, rec.w2.data
+    gate_w = rec.gate_w.data if use_gate else None
+    y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
+    flat = np.reshape(y, (b * t, d))
+    pre = np.matmul(flat, w1)  # bias added in place, as in the attention's scores
+    pre += rec.b1.data
+    o = np.matmul(ad._gelu_parts(pre)[0], w2)
+    o += rec.b2.data
+    gate = gate_np = None
+    if use_gate:
+        gate = ad.sigmoid_np(np.matmul(flat, gate_w) + rec.gate_b.data)
+        gate_np = gate.reshape(b, t).copy()
+    del y, flat
+    h_f = Tensor(h.data + np.reshape(o if gate is None else o * gate, (b, t, d)))
+    if gate is None:
+        o = None  # backward reads the ungated output only for the gate's gradient
+
+    def rule(g):
+        g_o = np.reshape(g, (b * t, d))
+        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
+        grads = []
+        if gate is not None:
+            g_o, g_gate = g_o * gate, np.sum(g_o * o, axis=-1, keepdims=True)
+            g_z = ad.sigmoid_grad(gate, g_gate)
+            g_flat, g_gate_w = ad.matmul_grad(flat, gate_w, g_z)
+            grads = [g_gate_w, ad.bias_grad(g_z)]
+        g_b2 = ad.bias_grad(g_o)
+        act, tanh_term = ad._gelu_parts(pre)
+        g_act, g_w2 = ad.matmul_grad(act, w2, g_o)
+        del act, g_o
+        g_pre = ad.gelu_grad(pre, tanh_term, g_act)
+        del tanh_term, g_act
+        g_part, g_w1 = ad.matmul_grad(flat, w1, g_pre)
+        # With the gate, its term came first on the per-op tape.
+        if gate is not None:
+            g_flat += g_part
+        else:
+            g_flat = g_part
+        del flat, g_part
+        g_x, g_gamma, g_beta = ad.layer_norm_grad(np.reshape(g_flat, (b, t, d)), xhat, inv, gamma)
+        # h appears twice: its residual term, then its layer-norm term.
+        return (g, g_x, g_gamma, g_beta, g_w1, ad.bias_grad(g_pre), g_w2, g_b2, *grads)
+
+    ad._finish(h_f, rule, *inputs)
     return h_f, gate_np
 
 

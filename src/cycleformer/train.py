@@ -54,6 +54,8 @@ class TrainPlan:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
+        if self.log_interval < 1:
+            raise ConfigError(f"log_interval must be >= 1, got {self.log_interval}")
 
 
 def plan_from_run(rc: RunConfig) -> TrainPlan:

@@ -147,14 +147,14 @@ def test_resume_shape_mismatch(workspace, capsys):
 
 
 def test_diverged_training_exits_3(workspace, capsys):
+    # A NaN weight is now refused at load time (exit 4); a finite but absurd
+    # learning rate makes the resumed run itself diverge.
     cfg, ckpt = train_small(workspace)
-    loaded = load_model(ckpt)
-    loaded.params.tok_emb.data[0, 0] = np.nan
-    save_model(ckpt, loaded.rc, loaded.params, loaded.make_optimizer())
     cfg6 = write_config(
-        workspace / "run6.cfg", corpus_path=workspace / "corpus.bin", steps=6
+        workspace / "run6.cfg", corpus_path=workspace / "corpus.bin", steps=6, lr="1e30"
     )
-    code = main(["train", "--config", cfg6, "--out", os.fspath(workspace / "x.ckpt"), "--resume", ckpt])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", cfg6, "--out", os.fspath(workspace / "x.ckpt"), "--resume", ckpt])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
 
@@ -312,9 +312,19 @@ def test_threshold_unset_in_checkpoint_means_full_depth(workspace, capsys):
     assert "adaptive" not in capsys.readouterr().out
 
 
+def _with_exit_threshold(ckpt, value):
+    """Rewrite a checkpoint's embedded exit_threshold, as a build that did
+    not check it at train time could have written it."""
+    text, tensors = load_checkpoint(ckpt)
+    assert "exit_threshold=none" in text
+    save_checkpoint(ckpt, text.replace("exit_threshold=none", f"exit_threshold={value}"), tensors)
+
+
 @pytest.mark.parametrize("variant,loop_count", [("V", 1), ("BC", 2)])
 def test_checkpoint_threshold_on_a_variant_without_exit_exits_2(workspace, capsys, variant, loop_count):
-    _, ckpt = train_small(workspace, variant=variant, loop_count=loop_count, exit_threshold=0.5)
+    _, ckpt = train_small(workspace, variant=variant, loop_count=loop_count)
+    _with_exit_threshold(ckpt, 0.5)
+    assert load_model(ckpt).rc.exit_threshold == 0.5  # such checkpoints still load
     capsys.readouterr()
     data = os.fspath(workspace / "corpus.bin")
     assert main(["eval", "--ckpt", ckpt, "--data", data]) == 2
@@ -322,6 +332,53 @@ def test_checkpoint_threshold_on_a_variant_without_exit_exits_2(workspace, capsy
     assert main(["generate", "--ckpt", ckpt, "--prompt", "ab", "--max-tokens", "1"]) == 2
     assert "adaptive" in capsys.readouterr().err
     assert main(["eval", "--ckpt", ckpt, "--data", data, "--threshold", "none"]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(variant="V", loop_count=1), dict(variant="BC"), dict(variant="HTC"), dict(use_zero_token="false")],
+    ids=["V", "BC", "HTC", "ZTT-without-zero-token"],
+)
+def test_exit_threshold_the_model_cannot_apply_exits_2_before_training(workspace, capsys, overrides):
+    cfg = write_config(
+        workspace / "run.cfg", corpus_path=workspace / "corpus.bin", exit_threshold=0.5, **overrides
+    )
+    out = workspace / "run.ckpt"
+    assert main(["train", "--config", cfg, "--out", os.fspath(out)]) == 2
+    captured = capsys.readouterr()
+    assert "exit_threshold" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_retrofit_target_that_cannot_apply_the_exit_threshold_exits_2(workspace, capsys):
+    _, vckpt = train_small(workspace, name="vanilla", variant="V", all_layers=3, loop_count=1)
+    _with_exit_threshold(vckpt, 0.5)
+    capsys.readouterr()
+    out = workspace / "retro.ckpt"
+    argv = ["retrofit", "--ckpt", vckpt, "--out", os.fspath(out), "--loop-count", "2"]
+    assert main(argv + ["--variant", "HTC"]) == 2  # HTC has no zero token
+    assert "exit_threshold" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--variant", "ZTT"]) == 0
+    assert load_model(os.fspath(out)).rc.exit_threshold == 0.5
+
+
+@pytest.mark.parametrize("command", ["eval", "generate", "resume"])
+def test_non_finite_weight_exits_4_naming_the_tensor(workspace, capsys, command):
+    cfg, ckpt = train_small(workspace)
+    text, tensors = load_checkpoint(ckpt)
+    tensors["layer2.ffn.w1"][3, 5] = np.nan
+    bad = os.fspath(workspace / "bad.ckpt")
+    save_checkpoint(bad, text, tensors)
+    capsys.readouterr()
+    argv = {
+        "eval": ["eval", "--ckpt", bad, "--data", os.fspath(workspace / "corpus.bin")],
+        "generate": ["generate", "--ckpt", bad, "--prompt", "ab", "--max-tokens", "2"],
+        "resume": ["train", "--config", cfg, "--out", os.fspath(workspace / "x.ckpt"), "--resume", bad],
+    }[command]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert bad in captured.err and "layer2.ffn.w1" in captured.err and captured.out == ""
 
 
 def test_generate_capacity_error(workspace, capsys):
