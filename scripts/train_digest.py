@@ -21,6 +21,10 @@ thresholds 0.5, 1.0 and none over the committed validation tail, batch 8.
 `decode sha256` covers greedy `generate` at threshold 0.5 and at full depth
 on the first 8 pool prompts, each filled to t_max: the ids, the cycles
 used, every `decode_step`'s logits and the final `DecodeCache.depth`.
+`decode max err` is the benchmark's decode oracle over all 64 pool prompts,
+each followed by its reference tokens and cut to t_max: the largest
+|full-depth `decode_step` logit - `forward` logit|, which must stay <= 1e-5.
+When the decode hash moves, it says by how much.
 
     python3 scripts/train_digest.py                 # this checkout's src/
     python3 scripts/train_digest.py --src OTHER/src # another tree's package
@@ -98,6 +102,22 @@ def decode_digest(adaptive, params, cfg, valid, pool) -> str:
     return h.hexdigest()
 
 
+def decode_error(adaptive, model, params, cfg, valid, meta) -> float:
+    import numpy as np
+
+    seqs = np.stack([
+        np.concatenate([valid[start : start + length], ref])[: cfg.t_max]
+        for (start, length), ref in zip(meta["prompt_pool"], meta["reference_tokens"]["adaptive"])
+    ])
+    want = model.forward(seqs, params, cfg).logits.data
+    err = 0.0
+    for ids, row in zip(seqs, want):
+        cache = adaptive.DecodeCache(params, cfg)
+        got = np.stack([adaptive.decode_step(cache, int(tok))[0] for tok in ids])
+        err = max(err, float(np.abs(got - row).max()))
+    return err
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -136,9 +156,11 @@ def main(argv=None) -> int:
 
     loaded = checkpoint.load_model(str(FIXED / "ztt_canonical.ckpt"))
     valid = data.ByteVocabulary().encode((FIXED / "ztt_canonical_valid.bin").read_bytes())
-    pool = json.loads((FIXED / "ztt_canonical.json").read_text())["prompt_pool"]
-    print(f"eval sha256: {eval_digest(evaluate, adaptive, loaded.params, loaded.config, valid)}")
-    print(f"decode sha256: {decode_digest(adaptive, loaded.params, loaded.config, valid, pool)}")
+    meta = json.loads((FIXED / "ztt_canonical.json").read_text())
+    params, cfg = loaded.params, loaded.config
+    print(f"eval sha256: {eval_digest(evaluate, adaptive, params, cfg, valid)}")
+    print(f"decode sha256: {decode_digest(adaptive, params, cfg, valid, meta['prompt_pool'])}")
+    print(f"decode max err: {decode_error(adaptive, model, params, cfg, valid, meta):.3e}")
     return 0
 
 

@@ -10,17 +10,28 @@ position's skipped middle-cycle entries are recomputed lazily (in position
 order, so every attention read sees a complete prefix). A position's tail
 entry is written once, at its own exit, and is never revised by later
 deepening; its emitted logits are final.
+
+Each application runs the model's own blocks on a one-token batch, with no
+tape: `attention_with_zero_token` over the slot's K/V rows, then `gated_ffn`.
+They are imported by name, so wrappers set on the `model` module (the
+benchmark tracer's spans) do not reach decode.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import gelu_np, layer_norm_np, softmax_np
-from .errors import ConfigError, UsageError
-from .model import ModelConfig, ModelParameters, build_schedule
+from .autodiff import Tensor, softmax_np
+from .errors import ConfigError, DataError, UsageError
+from .model import (
+    ModelConfig,
+    ModelParameters,
+    _lm_logits,
+    attention_with_zero_token,
+    build_schedule,
+    gated_ffn,
+)
 from .telemetry import aggregate
 from .data import BOS_ID
 
@@ -82,49 +93,28 @@ class DecodeCache:
 
 
 def _run_slot(cache: DecodeCache, slot_idx: int, pos: int, h: np.ndarray):
-    """One block application for a single query at `pos`; returns (h, zmean)."""
-    params, config = cache.params, cache.config
+    """One block application for a single query at `pos`; returns (h, zmean).
+    It writes K/V row `pos` of the slot and attends over rows 0..pos."""
+    params = cache.params
     layer, cycle = cache.schedule.applications[slot_idx]
     rec = params.record(layer)
-    nh = config.n_heads
-    hd = config.d_model // nh
     slot = cache.slots[slot_idx]
     if slot.filled < pos:
         raise UsageError(f"cache prefix incomplete at slot {slot_idx}: {slot.filled} < {pos}")
-    x = layer_norm_np(h, rec.ln1_g.data, rec.ln1_b.data)
-    slot.k[pos] = x @ rec.wk.data
-    slot.v[pos] = x @ rec.wv.data
+    h_att, zattn, _ = attention_with_zero_token(
+        Tensor(h[None, None]), rec, params.pool.get((layer, cycle)), cache.config.n_heads,
+        cache=(slot.k[None], slot.v[None]), start=pos,
+    )
     slot.filled = max(slot.filled, pos + 1)
-    qh = (x @ rec.wq.data).reshape(nh, hd)
-    keys = slot.k[: pos + 1].reshape(pos + 1, nh, hd)
-    vals = slot.v[: pos + 1].reshape(pos + 1, nh, hd)
-    scores = np.einsum("nh,pnh->np", qh, keys) / math.sqrt(hd)
-    zkey = params.pool.get((layer, cycle)) if config.use_zero_token else None
-    zmean = None
-    if zkey is not None:
-        zh = zkey.data.reshape(nh, hd)
-        zscore = np.sum(qh * zh, axis=1, keepdims=True) / math.sqrt(hd)
-        w = softmax_np(np.concatenate([zscore, scores], axis=1), axis=-1)
-        zmean = float(w[:, 0].mean())
-        mix = np.einsum("np,pnh->nh", w[:, 1:], vals)
-    else:
-        w = softmax_np(scores, axis=-1)
-        mix = np.einsum("np,pnh->nh", w, vals)
-    h_att = h + mix.reshape(-1) @ rec.wo.data
-    x2 = layer_norm_np(h_att, rec.ln2_g.data, rec.ln2_b.data)
-    o = gelu_np(x2 @ rec.w1.data + rec.b1.data) @ rec.w2.data + rec.b2.data
-    if config.use_gate:
-        z = float(x2 @ rec.gate_w.data[:, 0] + rec.gate_b.data[0])
-        gate = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-        o = o * gate
-    return h_att + o, zmean
+    h_out, _ = gated_ffn(h_att, rec, cache.config.use_gate)
+    return h_out.data[0, 0], None if zattn is None else float(zattn.mean())
 
 
 def _embed(cache: DecodeCache, token_id: int, pos: int) -> np.ndarray:
     params = cache.params
     v = params.tok_emb.data.shape[0]
     if not 0 <= token_id < v:
-        raise IndexError(f"token id {token_id} outside embedding table of {v} rows")
+        raise DataError(f"token id {token_id} does not fit vocab={v}")
     return params.tok_emb.data[token_id] + params.pos_emb.data[pos]
 
 
@@ -138,11 +128,6 @@ def _ensure_prefix_depth(cache: DecodeCache, upto: int, target: int) -> None:
                 h, _ = _run_slot(cache, s, p, h)
             cache.h_mid[p] = h
             cache.depth[p] = n
-
-
-def _lm_logits_single(params: ModelParameters, h: np.ndarray) -> np.ndarray:
-    hn = layer_norm_np(h, params.final_g.data, params.final_b.data)
-    return hn @ params.head_weight().data.T
 
 
 def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = None):
@@ -180,7 +165,7 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
             break
     for s in schedule.post:
         h, _ = _run_slot(cache, s, t, h)
-    logits = _lm_logits_single(cache.params, h)
+    logits = _lm_logits(Tensor(h[None, None]), cache.params).data[0, 0]
     cache.n_pos += 1
     cache.cycles_used.append(used)
     return logits, used

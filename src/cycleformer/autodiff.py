@@ -207,21 +207,18 @@ def _same_dtype(*ts: Tensor) -> np.dtype:
 
 
 # ---------------------------------------------------------------------------
-# pure-numpy forward kernels, shared with the incremental decode path
+# array kernels shared by the primitives below and the fused block records in
+# model.py, so each forward and backward formula exists once. The reductions
+# call the ufunc's `reduce` directly: the bits of `np.max`, `np.sum` and
+# `mean`, without their Python wrappers, which dominate on decode's one-row
+# arrays.
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-invariant softmax along `axis`."""
-    m = np.max(x, axis=axis, keepdims=True)
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * gamma + beta
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -247,24 +244,10 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, t
 
 
-def gelu_np(x: np.ndarray) -> np.ndarray:
-    """tanh-approximation GELU; the same kernel as the tape's `gelu`."""
-    return _gelu_parts(x)[0]
-
-
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # Split by sign to stay finite for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# array kernels shared by the primitives below and the fused block records in
-# model.py, so each forward and backward formula exists once
+    """Logistic sigmoid, finite for large |x|: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def layer_norm_parts(
@@ -277,10 +260,11 @@ def layer_norm_parts(
     page faults); the operations and their order are those of the plain
     formulas, so results are bitwise the same.
     """
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xhat = x - mu
     y = xhat * xhat
-    var = np.mean(y, axis=-1, keepdims=True)
+    var = np.add.reduce(y, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat *= inv
     return layer_norm_affine(xhat, gamma, beta, out=y), xhat, inv

@@ -32,11 +32,17 @@ class ByteVocabulary:
 
     def decode(self, ids) -> bytes:
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= VOCAB_SIZE):
-            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-            raise DataError(f"id {bad} outside vocabulary of size {VOCAB_SIZE}")
+        check_ids_fit(ids, VOCAB_SIZE, "decoded")
         kept = ids[ids < 256]
         return kept.astype(np.uint8).tobytes()
+
+
+def check_ids_fit(ids, vocab: int, what: str) -> None:
+    """Raise DataError unless every id indexes a row of a `vocab`-row embedding."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+        raise DataError(f"{what} token id {bad} does not fit vocab={vocab}")
 
 
 def load_corpus(path: str | os.PathLike) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .adaptive import ExitPolicy
 from .config import RunConfig, model_config
+from .data import check_ids_fit
 from .errors import ConfigError, DataError
 from .model import ModelConfig, ModelParameters, forward, param_count
 from .telemetry import CycleTelemetry, aggregate
@@ -99,6 +100,7 @@ def evaluate(
         )
     t = config.t_max
     ids = np.asarray(ids, dtype=np.int64)
+    check_ids_fit(ids, config.vocab, "data")
     n_win = (len(ids) - 1) // t
     if n_win < 1:
         raise DataError(f"need at least {t + 1} tokens for one window, got {len(ids)}")

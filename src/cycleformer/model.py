@@ -304,14 +304,15 @@ def build_causal_mask(t: int, zero_slot: bool, dtype=np.float32) -> np.ndarray:
 
 
 def _split_heads(m: np.ndarray, b: int, t: int, n_heads: int) -> np.ndarray:
-    """(B*T, d) -> (B, heads, T, head_dim), a view."""
-    return np.transpose(np.reshape(m, (b, t, n_heads, -1)), (0, 2, 1, 3))
+    """(B*T, d) or (B, T, d) -> (B, heads, T, head_dim), a view. Array methods,
+    as in the forwards: numpy's function wrappers outcost decode's one row."""
+    return m.reshape(b, t, n_heads, -1).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(m: np.ndarray) -> np.ndarray:
     """(B, heads, T, head_dim) -> a fresh (B*T, d)."""
     b, n_heads, t, hd = m.shape
-    return np.reshape(np.transpose(m, (0, 2, 1, 3)), (b * t, n_heads * hd))
+    return m.transpose(0, 2, 1, 3).reshape(b * t, n_heads * hd)
 
 
 def attention_with_zero_token(
@@ -320,6 +321,8 @@ def attention_with_zero_token(
     zkey: Tensor | None,
     n_heads: int,
     causal_mask: np.ndarray | None = None,
+    cache: tuple[np.ndarray, np.ndarray] | None = None,
+    start: int = 0,
 ) -> tuple[Tensor, np.ndarray | None, Tensor]:
     """Pre-norm causal multi-head attention with an optional zero token.
 
@@ -327,6 +330,12 @@ def attention_with_zero_token(
     `zkey`) whose value row is all zeros and which is visible to every query;
     it emits no query of its own. Returns (H_in + attention output, slot-0
     weight per (batch, head, query) or None, full attention weights).
+
+    With `cache`, a (keys, values) pair of (B, >= start + T, d) buffers, the
+    queries sit at positions start.., write their K/V rows there and attend
+    over rows [:start + T]. One query sees every key, so T == 1 adds no mask;
+    T > 1 past start 0 needs a (T, keys) mask passed in. The backward rule
+    assumes no cache: incremental decode runs without a tape.
 
     One tape record covers the block. It saves the layer norm's xhat and inv,
     the queries, the keys and values with their zero slot, and the attention
@@ -343,33 +352,41 @@ def attention_with_zero_token(
         inputs.append(zkey)
     dtype = ad._same_dtype(*inputs)
     zero_slot = zkey is not None
-    keys = t + (1 if zero_slot else 0)
-    if causal_mask is None:
+    n = start + t  # sequence positions the queries read
+    keys = n + (1 if zero_slot else 0)
+    if causal_mask is None and t > 1:
         causal_mask = build_causal_mask(t, zero_slot, dtype=dtype)
-    if causal_mask.shape != (t, keys):
+    if causal_mask is not None and causal_mask.shape != (t, keys):
         raise ShapeError(
             f"causal mask shape {causal_mask.shape} does not fit {(b, n_heads, t, keys)} scores"
         )
     gamma, beta = rec.ln1_g.data, rec.ln1_b.data
     wq, wk, wv, wo = rec.wq.data, rec.wk.data, rec.wv.data, rec.wo.data
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
-    flat = np.reshape(y, (b * t, d))
+    flat = y.reshape(b * t, d)
     q = _split_heads(np.matmul(flat, wq), b, t, n_heads)
-    k = _split_heads(np.matmul(flat, wk), b, t, n_heads)
-    v = _split_heads(np.matmul(flat, wv), b, t, n_heads)
+    k, v = np.matmul(flat, wk), np.matmul(flat, wv)
+    if cache is not None:
+        cache[0][:, start:n], cache[1][:, start:n] = k.reshape(b, t, d), v.reshape(b, t, d)
+        k, v = cache[0][:, :n], cache[1][:, :n]
+    k, v = _split_heads(k, b, n, n_heads), _split_heads(v, b, n, n_heads)
     del y, flat
-    if zero_slot:
-        zk = np.broadcast_to(np.reshape(zkey.data, (1, n_heads, 1, hd)), (b, n_heads, 1, hd))
-        k = np.concatenate([np.ascontiguousarray(zk), k], axis=2)
-        v = np.concatenate([np.zeros((b, n_heads, 1, hd), dtype=dtype), v], axis=2)
+    if zero_slot:  # key 0 is the zero token for every batch row, value 0 is zeros
+        k_all = np.empty((b, n_heads, keys, hd), dtype=dtype)
+        k_all[:, :, 0] = zkey.data.reshape(n_heads, hd)
+        k_all[:, :, 1:] = k
+        v_all = np.zeros((b, n_heads, keys, hd), dtype=dtype)
+        v_all[:, :, 1:] = v
+        k, v = k_all, v_all
     scale = float(1.0 / np.sqrt(hd))
-    scores = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores *= dtype.type(scale)  # in place: the bits of the out-of-place form, one buffer fewer
-    scores += np.asarray(causal_mask, dtype=dtype)
+    if t > 1:  # one query's mask is all zeros: adding it changes no weight
+        scores += np.asarray(causal_mask, dtype=dtype)
     weights = ad.softmax_np(scores, axis=-1)
     del scores
     out = np.matmul(_merge_heads(np.matmul(weights, v)), wo)
-    h_att = Tensor(h.data + np.reshape(out, (b, t, d)))
+    h_att = Tensor(h.data + out.reshape(b, t, d))
     del out
 
     def rule(g):
@@ -427,7 +444,7 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
     w1, w2 = rec.w1.data, rec.w2.data
     gate_w = rec.gate_w.data if use_gate else None
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
-    flat = np.reshape(y, (b * t, d))
+    flat = y.reshape(b * t, d)
     pre = np.matmul(flat, w1)  # bias added in place, as in the attention's scores
     pre += rec.b1.data
     o = np.matmul(ad._gelu_parts(pre)[0], w2)
@@ -437,7 +454,7 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         gate = ad.sigmoid_np(np.matmul(flat, gate_w) + rec.gate_b.data)
         gate_np = gate.reshape(b, t).copy()
     del y, flat
-    h_f = Tensor(h.data + np.reshape(o if gate is None else o * gate, (b, t, d)))
+    h_f = Tensor(h.data + (o if gate is None else o * gate).reshape(b, t, d))
     if gate is None:
         o = None  # backward reads the ungated output only for the gate's gradient
 

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
-from .data import BatchPlan, next_batch
-from .errors import ConfigError, DataError, TrainingDiverged
+from .data import BatchPlan, check_ids_fit, next_batch
+from .errors import ConfigError, TrainingDiverged
 from .model import ModelConfig, ModelParameters, forward, init_parameters
 from .optim import AdamW
 from .telemetry import CycleTelemetry
@@ -200,9 +200,7 @@ def train(
     step and the full plan, so a run split at any step and resumed from its
     checkpoint retraces the uninterrupted trajectory bit for bit.
     """
-    top_id = int(np.max(train_ids, initial=-1))
-    if top_id >= config.vocab:
-        raise DataError(f"corpus token id {top_id} does not fit vocab={config.vocab}")
+    check_ids_fit(train_ids, config.vocab, "corpus")
     if params is None:
         params = init_parameters(config, seed=plan.seed)
     named = params.named()

@@ -12,6 +12,7 @@ from cycleformer.autodiff import Tape, backward, constant, parameter, tensor
 from cycleformer.errors import ShapeError, UsageError
 
 from gradcheck import check_grads
+from oracle_kernels import gelu_np
 
 
 def finite_floats(shape, lo=-4.0, hi=4.0):
@@ -179,10 +180,11 @@ def _gelu_f64(x):
 
 
 def test_gelu_float32_tape_and_decode_kernels_are_bitwise_equal():
+    # The tape's in-place kernel against the plain formula the oracles use.
     x = np.random.default_rng(3).normal(scale=3.0, size=(7, 33)).astype(np.float32)
     got = ad.gelu(tensor(x)).data
     assert got.dtype == np.float32
-    np.testing.assert_array_equal(got, ad.gelu_np(x))
+    np.testing.assert_array_equal(got, gelu_np(x))
 
 
 def test_gelu_float32_matches_float64_reference():
@@ -210,6 +212,31 @@ def test_sigmoid_range_and_symmetry():
 def test_sigmoid_saturates_without_overflow():
     s = ad.sigmoid(tensor([-1e4, 1e4], dtype=np.float64)).data
     np.testing.assert_allclose(s, [0.0, 1.0], atol=1e-12)
+
+
+def _sigmoid_split_by_sign(x):
+    """The reference: each sign's branch evaluated on its own elements only."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_kernel_matches_split_by_sign_reference(dtype):
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 88.0, -88.0, 1e4, -1e4]
+    x = np.concatenate([rng.normal(scale=6.0, size=200), special]).astype(dtype)
+    got, want = ad.sigmoid_np(x), _sigmoid_split_by_sign(x)
+    assert got.dtype == want.dtype == dtype
+    if dtype == np.float32:
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    else:  # the same bits, but for the sign of a NaN
+        finite = ~np.isnan(x)
+        np.testing.assert_array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+        assert np.isnan(got[~finite]).all()
 
 
 # ---------------------------------------------------------------------------

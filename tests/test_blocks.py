@@ -14,6 +14,7 @@ import cycleformer.train as train_mod
 from cycleformer.autodiff import Tape, backward, constant, parameter
 from cycleformer.config import RunConfig, model_config
 from cycleformer.data import ByteVocabulary, make_synthetic_corpus
+from cycleformer.errors import ShapeError
 from cycleformer.model import (
     ModelConfig,
     attention_with_zero_token,
@@ -139,6 +140,35 @@ def multi_exit_grads(cfg, params, ids, targets):
     logits = [e.data for e in res.exit_logits]
     backward(tape, loss)
     return logits, {name: p.grad.copy() for name, p in named.items()}
+
+
+@pytest.mark.parametrize("zero_key", [True, False])
+def test_cached_attention_one_query_at_a_time_matches_the_batch_block(zero_key):
+    # Decode's use of the block: one query per call at positions 0..T-1, each
+    # writing its K/V row into the cache and attending over the rows so far.
+    rec, zkey = block_params(np.float64)
+    key = zkey if zero_key else None
+    h = constant(np.random.default_rng(7).normal(size=(1, T, D)))
+    want, want_z, _ = attention_with_zero_token(h, rec, key, HEADS)
+    k_rows, v_rows = np.zeros((1, T + 2, D)), np.zeros((1, T + 2, D))
+    for pos in range(T):
+        out, z, _ = attention_with_zero_token(
+            constant(h.data[:, pos : pos + 1]), rec, key, HEADS, cache=(k_rows, v_rows), start=pos
+        )
+        np.testing.assert_allclose(out.data[0, 0], want.data[0, pos], rtol=1e-12, atol=1e-12)
+        if zero_key:
+            np.testing.assert_allclose(z[0, :, 0], want_z[0, :, pos], rtol=1e-12, atol=1e-12)
+    assert k_rows[0, :T].any(axis=1).all() and not k_rows[0, T:].any()
+    assert v_rows[0, :T].any(axis=1).all() and not v_rows[0, T:].any()
+
+
+def test_cached_attention_past_start_refuses_several_queries_without_a_mask():
+    rec, zkey = block_params(np.float64)
+    rows = np.zeros((1, T, D))
+    with pytest.raises(ShapeError):
+        attention_with_zero_token(
+            constant(np.ones((1, 2, D))), rec, zkey, HEADS, cache=(rows, rows.copy()), start=1
+        )
 
 
 def test_multi_exit_forward_gradients_match_op_chain_bitwise(monkeypatch):

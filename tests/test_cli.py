@@ -388,6 +388,26 @@ def test_generate_capacity_error(workspace, capsys):
     assert "t_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "generate"])
+def test_token_id_beyond_the_model_vocab_exits_2(workspace, capsys, command):
+    # vocab=200 holds the synthetic corpus's ASCII bytes, but neither byte
+    # 0xF1 (241) nor the BOS id (257) that generate puts before its prompt.
+    cfg, ckpt = train_small(workspace, vocab=200)
+    wide = workspace / "wide.bin"
+    wide.write_bytes(make_synthetic_corpus(400, seed=1) + b"\xf1")
+    capsys.readouterr()
+    argv, bad = {
+        "train": (["train", "--config", cfg, "--out", os.fspath(workspace / "x.ckpt"),
+                   "--data", os.fspath(wide)], 241),
+        "eval": (["eval", "--ckpt", ckpt, "--data", os.fspath(wide)], 241),
+        "generate": (["generate", "--ckpt", ckpt, "--prompt", "hi", "--max-tokens", "2"], 257),
+    }[command]
+    assert main(argv) == 2  # an uncaught exception would escape main instead
+    captured = capsys.readouterr()
+    assert f"token id {bad} does not fit vocab=200" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_sweep_table(workspace, capsys):
     base = write_config(workspace / "base.cfg", steps=2)
     data = os.fspath(workspace / "corpus.bin")
