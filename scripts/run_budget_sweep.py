@@ -3,13 +3,15 @@
 
 Default layouts at budget 6 are the canonical ones: the whole-stack repeat
 at (3, 2) and the head-tail middles at (3, 4); pass --all-layouts to train
-every feasible (layers, loops) pair instead.
+every feasible (layers, loops) pair instead. Every CSV row carries the
+code-and-options stamp of scripts/artifact_stamp.py.
 """
 import argparse
 import csv
 import os
 import sys
 
+from artifact_stamp import stamp
 from cycleformer.config import RunConfig
 from cycleformer.data import ByteVocabulary, load_corpus, make_synthetic_corpus, split_corpus
 from cycleformer.evaluate import budget_sweep, enumerate_layouts, format_sweep
@@ -39,6 +41,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    fingerprint = stamp(args)  # before training: the code that runs, not what is there after
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
     if args.corpus:
@@ -64,12 +67,12 @@ def main(argv=None) -> int:
             w = csv.writer(fh)
             w.writerow(
                 ["variant", "all_layers", "loop_count", "seed", "n_params",
-                 "train_loss", "eval_loss", "eval_ppl"]
+                 "train_loss", "eval_loss", "eval_ppl", "fingerprint"]
             )
             for r in rows:
                 w.writerow(
                     [r.variant, r.all_layers, r.loop_count, r.seed, r.n_params,
-                     f"{r.train_loss:.6f}", f"{r.eval_loss:.6f}", f"{r.eval_ppl:.6f}"]
+                     f"{r.train_loss:.6f}", f"{r.eval_loss:.6f}", f"{r.eval_ppl:.6f}", fingerprint]
                 )
     return 0
 

@@ -4,7 +4,8 @@
 Writes into --out-dir:
     model.ckpt   final weights + optimizer state
     metrics.csv  training telemetry stream
-    result.json  losses, runtime, eval stats, avg-loop curve over thresholds
+    result.json  losses, runtime, eval stats, avg-loop curve over thresholds,
+                 and the code-and-options stamp of scripts/artifact_stamp.py
 
 The JSON is the machine-readable record the acceptance suite consumes; the
 stdout summary plus a greedy sample are for eyeballing a run.
@@ -17,6 +18,7 @@ import time
 
 import numpy as np
 
+from artifact_stamp import stamp
 from cycleformer.adaptive import ExitPolicy, generate
 from cycleformer.checkpoint import save_model
 from cycleformer.config import RunConfig, model_config
@@ -52,6 +54,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    fingerprint = stamp(args)  # before training: the code that runs, not what is there after
     os.makedirs(args.out_dir, exist_ok=True)
     if args.corpus:
         ids = load_corpus(args.corpus)
@@ -102,6 +105,7 @@ def main(argv=None) -> int:
         },
         "avg_loop_curve": curve,
         "checkpoint": ckpt,
+        "fingerprint": fingerprint,
     }
     with open(os.path.join(args.out_dir, "result.json"), "w") as fh:
         json.dump(out, fh, indent=1)

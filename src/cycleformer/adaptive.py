@@ -4,7 +4,8 @@ Each generated position runs the schedule's head, then its cycles one at a
 time; after cycle n the position's own zero-slot attention (averaged over
 heads, then aggregated over the cycle's applications) is compared with the
 policy threshold, and the first cycle that reaches it triggers an exit
-through the shared tail. Per-slot K/V caches are positionally indexed;
+through the shared tail. Per-slot K/V caches are positionally indexed
+(after row 0, the zero token's, where the application has one);
 when a later position runs deeper than an earlier one, the earlier
 position's skipped middle-cycle entries are recomputed lazily (in position
 order, so every attention read sees a complete prefix). A position's tail
@@ -85,7 +86,9 @@ class DecodeCache:
         self.schedule = build_schedule(config)
         dtype = params.dtype()
         d, tm = config.d_model, config.t_max
-        self.slots = [_Slot(tm, d, dtype) for _ in self.schedule.applications]
+        # An application with a zero token keeps it in its slot's row 0.
+        apps = self.schedule.applications
+        self.slots = [_Slot(tm + (app in params.pool), d, dtype) for app in apps]
         self.h_mid = np.zeros((tm, d), dtype=dtype)
         self.depth = np.zeros(tm, dtype=np.int64)
         self.n_pos = 0
@@ -94,7 +97,8 @@ class DecodeCache:
 
 def _run_slot(cache: DecodeCache, slot_idx: int, pos: int, h: np.ndarray):
     """One block application for a single query at `pos`; returns (h, zmean).
-    It writes K/V row `pos` of the slot and attends over rows 0..pos."""
+    It writes position `pos`'s K/V row of the slot and attends over the rows
+    up to it, zero-token row included."""
     params = cache.params
     layer, cycle = cache.schedule.applications[slot_idx]
     rec = params.record(layer)

@@ -32,15 +32,11 @@ the arrays it holds) and takes the gradient out of the output's slot, so
 every non-leaf `grad` is None afterwards and the tape is empty; a tape is
 swept once. A first gradient is adopted as the rule returned it, without a
 copy, so a `grad` may be a view into a buffer a consumer's rule produced.
-That is safe under one aliasing contract: the gradients one rule returns must
-not overlap in memory unless they are the identical object. Today `concat`
-returns disjoint slices of its output gradient, `reshape` and `transpose`
-return views of an output gradient nobody reads after their rule, `add`
-returns its output gradient for both inputs, the block rules return it for
-their residual input, and every other rule returns fresh arrays. The sweep
-copies an identical object for every input after the first that adopts it;
-`add(h, h)` needs no copy, since its second write is `h.grad += g` with
-`h.grad is g`.
+That is safe under one aliasing rule: a rule returns distinct,
+non-overlapping arrays. `concat` returns disjoint slices of its output
+gradient, `reshape` and `transpose` return views of an output gradient nobody
+reads after their rule, `add` returns it and a copy, the block rules return
+it for their residual input, and every other gradient is a fresh array.
 """
 from __future__ import annotations
 
@@ -76,9 +72,8 @@ class Tensor:
     needs a gradient owns a `_Slot`, and `grad` reads and writes it; the tape
     records the slot, not the tensor, so a non-leaf's `data` lives only as
     long as the forward's references and the rules that read it. After
-    `backward`, a leaf's `grad` may be a view into a gradient buffer produced
-    by a consumer's rule (a `transpose` of a matmul gradient, a `concat`
-    slice).
+    `backward`, a leaf's `grad` may be a view into an array a consumer's rule
+    returned (see the module docstring's aliasing rule).
     """
 
     __slots__ = ("data", "slot")
@@ -163,8 +158,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Consume `tape` in reverse, accumulating grads into every reachable leaf.
 
     A record's saved arrays and its output gradient die as soon as its rule
-    has run. The module docstring states the aliasing contract that lets a
-    first gradient be adopted without a copy.
+    has run. The module docstring states the aliasing rule that lets a first
+    gradient be adopted without a copy.
     """
     records = tape._records
     if not any(out is loss.slot for out, _, _ in records):
@@ -177,15 +172,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
         g_out, out.grad = out.grad, None
         if g_out is None:
             continue
-        given: list[np.ndarray] = []
         for slot, g in zip(inputs, rule(g_out), strict=True):
             if slot is None:
                 continue
             if slot.grad is None:
-                slot.grad = g.copy() if any(g is h for h in given) else np.asarray(g)
+                slot.grad = np.asarray(g)
             else:
                 slot.grad += g
-            given.append(g)
 
 
 def _finish(out: Tensor, rule, *inputs: Tensor) -> Tensor:
@@ -355,7 +348,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def rule(g):
-        return g, g
+        return g, g.copy()
 
     return _finish(out, rule, a, b)
 

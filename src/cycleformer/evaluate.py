@@ -6,6 +6,14 @@ data, policy). The adaptive report selects an exit per position from the
 same zero-attention traces the incremental decoder sees (the cache tests
 establish the two views agree), so threshold 1 reproduces the final-exit
 numbers exactly, token for token.
+
+The adaptive loss is not decode's loss, though. It scores a position that
+exits after cycle n with the batch exit-n logits, whose tail attends to
+every position's cycle-n state; decode's tail reads each earlier position's
+own exit-state row. On the benchmark's fixed checkpoint, first validation
+window, threshold 0.5, both pick the same exit per position (13/18/33 over
+cycles 1/2/3) but score 0.9993 vs 0.9974 nat/tok, with logits up to 0.21
+apart.
 """
 from __future__ import annotations
 

@@ -291,16 +291,15 @@ def param_count(config: ModelConfig) -> dict:
 # forward
 
 
-def build_causal_mask(t: int, zero_slot: bool, dtype=np.float32) -> np.ndarray:
-    """(T, T+1) additive mask when a zero slot is prepended, else (T, T).
+def build_causal_mask(t: int, zero_slot: bool, dtype=np.float32, start: int = 0) -> np.ndarray:
+    """(T, z + start + T) additive mask for queries at positions start.., where
+    z is 1 when a zero slot is key column 0, else 0.
 
     Slot 0 is exempt from causality: every query may attend to it. Key column
-    j >= 1 maps to sequence position j-1 and is visible iff j-1 <= query.
+    j >= z maps to sequence position j-z and is visible iff j-z <= query.
     """
-    base = np.triu(np.full((t, t), MASK_NEG, dtype=dtype), k=1)
-    if not zero_slot:
-        return base
-    return np.concatenate([np.zeros((t, 1), dtype=dtype), base], axis=1)
+    z = 1 if zero_slot else 0
+    return np.triu(np.full((t, z + start + t), MASK_NEG, dtype=dtype), k=z + start + 1)
 
 
 def _split_heads(m: np.ndarray, b: int, t: int, n_heads: int) -> np.ndarray:
@@ -320,26 +319,27 @@ def attention_with_zero_token(
     rec: LayerParameters,
     zkey: Tensor | None,
     n_heads: int,
-    causal_mask: np.ndarray | None = None,
     cache: tuple[np.ndarray, np.ndarray] | None = None,
     start: int = 0,
 ) -> tuple[Tensor, np.ndarray | None, Tensor]:
     """Pre-norm causal multi-head attention with an optional zero token.
 
-    The zero token contributes one extra key per head (a per-head split of
-    `zkey`) whose value row is all zeros and which is visible to every query;
-    it emits no query of its own. Returns (H_in + attention output, slot-0
-    weight per (batch, head, query) or None, full attention weights).
+    Keys and values sit in a (keys, values) pair of (B, rows, d) buffers.
+    With a zero token, row 0 holds `zkey` as the key (split per head, visible
+    to every query) and zeros as the value, and sequence position p is row
+    p+1; the zero token emits no query of its own. Without one, position p
+    is row p. Returns (H_in + attention output, slot-0 weight per (batch,
+    head, query) or None, full attention weights).
 
-    With `cache`, a (keys, values) pair of (B, >= start + T, d) buffers, the
-    queries sit at positions start.., write their K/V rows there and attend
-    over rows [:start + T]. One query sees every key, so T == 1 adds no mask;
-    T > 1 past start 0 needs a (T, keys) mask passed in. The backward rule
-    assumes no cache: incremental decode runs without a tape.
+    Without `cache` the block allocates buffers of exactly the rows this call
+    reads. `cache` passes in buffers with at least that many rows: the
+    queries at positions start..start+T-1 write their rows there, and each
+    attends over every row up to its own. The backward rule assumes no cache:
+    incremental decode runs without a tape.
 
     One tape record covers the block. It saves the layer norm's xhat and inv,
-    the queries, the keys and values with their zero slot, and the attention
-    weights; backward rebuilds the layer norm output and the head-merged mix.
+    the queries, the key and value buffers, and the attention weights;
+    backward rebuilds the layer norm output and the head-merged mix.
     """
     b, t, d = h.shape
     if d % n_heads != 0:
@@ -352,37 +352,26 @@ def attention_with_zero_token(
         inputs.append(zkey)
     dtype = ad._same_dtype(*inputs)
     zero_slot = zkey is not None
-    n = start + t  # sequence positions the queries read
-    keys = n + (1 if zero_slot else 0)
-    if causal_mask is None and t > 1:
-        causal_mask = build_causal_mask(t, zero_slot, dtype=dtype)
-    if causal_mask is not None and causal_mask.shape != (t, keys):
-        raise ShapeError(
-            f"causal mask shape {causal_mask.shape} does not fit {(b, n_heads, t, keys)} scores"
-        )
+    z = 1 if zero_slot else 0
+    keys = z + start + t  # buffer rows the queries read
     gamma, beta = rec.ln1_g.data, rec.ln1_b.data
     wq, wk, wv, wo = rec.wq.data, rec.wk.data, rec.wv.data, rec.wo.data
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
     flat = y.reshape(b * t, d)
     q = _split_heads(np.matmul(flat, wq), b, t, n_heads)
-    k, v = np.matmul(flat, wk), np.matmul(flat, wv)
-    if cache is not None:
-        cache[0][:, start:n], cache[1][:, start:n] = k.reshape(b, t, d), v.reshape(b, t, d)
-        k, v = cache[0][:, :n], cache[1][:, :n]
-    k, v = _split_heads(k, b, n, n_heads), _split_heads(v, b, n, n_heads)
+    k_rows, v_rows = cache or (np.empty((b, keys, d), dtype), np.empty((b, keys, d), dtype))
+    if zero_slot:
+        k_rows[:, 0], v_rows[:, 0] = zkey.data, 0
+    k_rows[:, z + start : keys] = np.matmul(flat, wk).reshape(b, t, d)
+    v_rows[:, z + start : keys] = np.matmul(flat, wv).reshape(b, t, d)
     del y, flat
-    if zero_slot:  # key 0 is the zero token for every batch row, value 0 is zeros
-        k_all = np.empty((b, n_heads, keys, hd), dtype=dtype)
-        k_all[:, :, 0] = zkey.data.reshape(n_heads, hd)
-        k_all[:, :, 1:] = k
-        v_all = np.zeros((b, n_heads, keys, hd), dtype=dtype)
-        v_all[:, :, 1:] = v
-        k, v = k_all, v_all
+    k = _split_heads(k_rows[:, :keys], b, keys, n_heads)
+    v = _split_heads(v_rows[:, :keys], b, keys, n_heads)
     scale = float(1.0 / np.sqrt(hd))
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores *= dtype.type(scale)  # in place: the bits of the out-of-place form, one buffer fewer
-    if t > 1:  # one query's mask is all zeros: adding it changes no weight
-        scores += np.asarray(causal_mask, dtype=dtype)
+    if t > 1:  # one query sees every row it reads: no mask
+        scores += build_causal_mask(t, zero_slot, dtype, start)
     weights = ad.softmax_np(scores, axis=-1)
     del scores
     out = np.matmul(_merge_heads(np.matmul(weights, v)), wo)
@@ -531,10 +520,7 @@ def forward(
     b, t = ids.shape
     if t < 1 or t > config.t_max:
         raise ShapeError(f"sequence length {t} outside [1, t_max={config.t_max}]")
-    dtype = params.dtype()
     schedule = build_schedule(config)
-    mask_plain = build_causal_mask(t, False, dtype)
-    mask_zero = build_causal_mask(t, True, dtype) if config.use_zero_token else None
 
     tok = ad.embedding(params.tok_emb, ids)
     pos = ad.narrow(params.pos_emb, 0, 0, t)
@@ -547,9 +533,7 @@ def forward(
         layer, cycle = schedule.applications[idx]
         rec = params.record(layer)
         zkey = params.pool.get((layer, cycle))
-        h, zattn, _ = attention_with_zero_token(
-            h, rec, zkey, config.n_heads, mask_plain if zkey is None else mask_zero
-        )
+        h, zattn, _ = attention_with_zero_token(h, rec, zkey, config.n_heads)
         h, gate_np = gated_ffn(h, rec, config.use_gate)
         if record:
             telemetry.add(

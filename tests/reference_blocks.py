@@ -12,7 +12,7 @@ from cycleformer.errors import ShapeError
 from cycleformer.model import build_causal_mask
 
 
-def reference_attention(h, rec, zkey, n_heads, causal_mask=None):
+def reference_attention(h, rec, zkey, n_heads):
     b, t, d = h.shape
     hd = d // n_heads
     x = ad.layer_norm(h, rec.ln1_g, rec.ln1_b)
@@ -30,8 +30,7 @@ def reference_attention(h, rec, zkey, n_heads, causal_mask=None):
         zv = ad.constant(np.zeros((b, n_heads, 1, hd)), dtype=h.dtype)
         v = ad.concat([zv, v], axis=2)
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    if causal_mask is None:
-        causal_mask = build_causal_mask(t, zkey is not None, dtype=h.dtype)
+    causal_mask = build_causal_mask(t, zkey is not None, dtype=h.dtype)
     weights = ad.softmax(ad.add_const(scores, causal_mask), axis=-1)
     mix = ad.matmul(weights, v)
     mix = ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b * t, d))

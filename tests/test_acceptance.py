@@ -6,9 +6,13 @@ runs behind criteria 9-11 (full smoke trainings and a budget sweep) cache
 their artifacts under tests/_artifacts and are reused on later invocations;
 delete that directory to retrain from scratch. A cold run regenerates them
 through scripts/run_smoke.py and scripts/run_budget_sweep.py and can take
-around 45 minutes on one core.
+around 45 minutes on one core. Those scripts stamp their outputs with a
+code-and-options fingerprint (scripts/artifact_stamp.py); criteria 9-11 add
+STALE to their detail line when a cached artifact's stamp is missing or is
+not the one the checked-in code would write. The verdicts do not change.
 """
 import csv
+import importlib
 import json
 import math
 import os
@@ -80,38 +84,46 @@ def _wait_or_run(target: Path, log: Path, cmd: list[str], wait_minutes: int = 50
     subprocess.run(cmd, check=True, cwd=TESTS.parent)
 
 
-def _smoke_result(seed: int) -> dict:
+def _stale_note(stamps: set, script: str, argv: list[str]) -> str:
+    """'' when every stamp is the one `script` run with `argv` would write
+    from the checked-in code, else a STALE note for a detail line."""
+    if os.fspath(SCRIPTS) not in sys.path:
+        sys.path.insert(0, os.fspath(SCRIPTS))  # the scripts import each other by name
+    args = importlib.import_module(script).parse_args(argv)
+    if stamps == {importlib.import_module("artifact_stamp").stamp(args)}:
+        return ""
+    return " STALE: " + ("no code fingerprint" if None in stamps else "made by other code or options")
+
+
+def _smoke_result(seed: int) -> tuple[dict, str]:
+    """The smoke run's result.json and its stale note."""
     _ensure_corpus()
     out_dir = ART / f"smoke_s{seed}"
     target = out_dir / "result.json"
+    argv = [
+        "--out-dir", os.fspath(out_dir),
+        "--corpus", os.fspath(SMOKE_CORPUS),
+        "--seed", str(seed),
+    ]
     _wait_or_run(
-        target,
-        ART / f"smoke_s{seed}.log",
-        [
-            sys.executable, os.fspath(SCRIPTS / "run_smoke.py"),
-            "--out-dir", os.fspath(out_dir),
-            "--corpus", os.fspath(SMOKE_CORPUS),
-            "--seed", str(seed),
-        ],
+        target, ART / f"smoke_s{seed}.log", [sys.executable, os.fspath(SCRIPTS / "run_smoke.py"), *argv]
     )
     with open(target) as fh:
-        return json.load(fh)
+        result = json.load(fh)
+    return result, _stale_note({result.get("fingerprint")}, "run_smoke", argv)
 
 
-def _sweep_rows() -> list[dict]:
+def _sweep_rows() -> tuple[list[dict], str]:
+    """The budget sweep's CSV rows and their stale note."""
     _ensure_corpus()
     target = ART / "sweep_budget6.csv"
+    argv = ["--corpus", os.fspath(SMOKE_CORPUS), "--csv", os.fspath(target)]
     _wait_or_run(
-        target,
-        ART / "sweep.log",
-        [
-            sys.executable, os.fspath(SCRIPTS / "run_budget_sweep.py"),
-            "--corpus", os.fspath(SMOKE_CORPUS),
-            "--csv", os.fspath(target),
-        ],
+        target, ART / "sweep.log", [sys.executable, os.fspath(SCRIPTS / "run_budget_sweep.py"), *argv]
     )
     with open(target) as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    return rows, _stale_note({r.get("fingerprint") for r in rows}, "run_budget_sweep", argv)
 
 
 @pytest.fixture(scope="session")
@@ -391,13 +403,14 @@ def test_criterion_08_determinism(announce, tmp_path):
 
 
 def test_criterion_09_smoke_training(announce):
-    r = _smoke_result(0)
+    r, stale = _smoke_result(0)
     ratio = r["loss_final"] / r["loss_initial"]
     ok = r["steps"] == 2000 and r["loss_final"] < 0.8 * r["loss_initial"]
     announce(
         9, "PASS" if ok else "FAIL",
         f"1MB corpus, d=128/h=4/L=4/N=3, {r['steps']} steps in {r['runtime_s']/60:.1f} min: "
-        f"loss {r['loss_initial']:.3f} -> {r['loss_final']:.3f} ({ratio:.2f}x, need <0.8x)",
+        f"loss {r['loss_initial']:.3f} -> {r['loss_final']:.3f} ({ratio:.2f}x, need <0.8x)"
+        + stale,
     )
     assert ok
 
@@ -405,8 +418,10 @@ def test_criterion_09_smoke_training(announce):
 def test_criterion_10_telemetry_trends(announce):
     seeds_ok = 0
     details = []
+    stale = ""
     for seed in (0, 1, 2):
-        r = _smoke_result(seed)
+        r, note = _smoke_result(seed)
+        stale = stale or note
         cyc = sorted(r["valid"]["cycles"], key=lambda c: c["cycle"])
         z = [c["zero_attn"] for c in cyc]
         g = [c["gate"] for c in cyc]
@@ -420,12 +435,12 @@ def test_criterion_10_telemetry_trends(announce):
     announce(
         10, "REPORT",
         f"zero-attention rising and gate falling across cycles in {seeds_ok}/3 seeds "
-        f"(target >=2/3, not gated). " + "; ".join(details),
+        f"(target >=2/3, not gated). " + "; ".join(details) + stale,
     )
 
 
 def test_criterion_11_budget_sweep(announce):
-    rows = _sweep_rows()
+    rows, stale = _sweep_rows()
     ppl = {(r["variant"], int(r["seed"])): float(r["eval_ppl"]) for r in rows}
     seeds = sorted({int(r["seed"]) for r in rows})
     wins = {"HTC": 0, "ZTT": 0}
@@ -440,5 +455,6 @@ def test_criterion_11_budget_sweep(announce):
         11, "REPORT",
         f"depth-budget 6: HTC <= BC in {wins['HTC']}/{len(seeds)} seeds, "
         f"ZTT <= BC in {wins['ZTT']}/{len(seeds)} seeds (directional, not gated). "
-        + "; ".join(details),
+        + "; ".join(details)
+        + stale,
     )

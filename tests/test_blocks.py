@@ -14,7 +14,6 @@ import cycleformer.train as train_mod
 from cycleformer.autodiff import Tape, backward, constant, parameter
 from cycleformer.config import RunConfig, model_config
 from cycleformer.data import ByteVocabulary, make_synthetic_corpus
-from cycleformer.errors import ShapeError
 from cycleformer.model import (
     ModelConfig,
     attention_with_zero_token,
@@ -158,17 +157,39 @@ def test_cached_attention_one_query_at_a_time_matches_the_batch_block(zero_key):
         np.testing.assert_allclose(out.data[0, 0], want.data[0, pos], rtol=1e-12, atol=1e-12)
         if zero_key:
             np.testing.assert_allclose(z[0, :, 0], want_z[0, :, pos], rtol=1e-12, atol=1e-12)
-    assert k_rows[0, :T].any(axis=1).all() and not k_rows[0, T:].any()
-    assert v_rows[0, :T].any(axis=1).all() and not v_rows[0, T:].any()
+    # With a zero token, row 0 holds its key and a zero value, and position p
+    # is row p + 1; without one, position p is row p.
+    first = 1 if zero_key else 0
+    if zero_key:
+        np.testing.assert_array_equal(k_rows[0, 0], zkey.data)
+        assert not v_rows[0, 0].any()
+    positions = slice(first, first + T)
+    assert k_rows[0, positions].any(axis=1).all() and not k_rows[0, first + T :].any()
+    assert v_rows[0, positions].any(axis=1).all() and not v_rows[0, first + T :].any()
 
 
-def test_cached_attention_past_start_refuses_several_queries_without_a_mask():
+@pytest.mark.parametrize("zero_key", [True, False])
+def test_cached_attention_several_queries_past_start_match_the_batch_block(zero_key):
+    # Positions 0-2, then 3-6, through one cache: the second call's three
+    # queries each see the first call's rows and the rows of its own earlier
+    # queries, as the batch block's causal mask allows.
     rec, zkey = block_params(np.float64)
-    rows = np.zeros((1, T, D))
-    with pytest.raises(ShapeError):
-        attention_with_zero_token(
-            constant(np.ones((1, 2, D))), rec, zkey, HEADS, cache=(rows, rows.copy()), start=1
-        )
+    key = zkey if zero_key else None
+    h = constant(np.random.default_rng(9).normal(size=(1, 7, D)))
+    want, want_z, want_w = attention_with_zero_token(h, rec, key, HEADS)
+    rows = (np.zeros((1, 8, D)), np.zeros((1, 8, D)))
+    head, head_z, _ = attention_with_zero_token(
+        constant(h.data[:, :3]), rec, key, HEADS, cache=rows, start=0
+    )
+    tail, tail_z, tail_w = attention_with_zero_token(
+        constant(h.data[:, 3:]), rec, key, HEADS, cache=rows, start=3
+    )
+    got = np.concatenate([head.data, tail.data], axis=1)
+    np.testing.assert_allclose(got, want.data, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tail_w.data, want_w.data[:, :, 3:], rtol=1e-12, atol=1e-12)
+    if zero_key:
+        got_z = np.concatenate([head_z, tail_z], axis=-1)
+        np.testing.assert_allclose(got_z, want_z, rtol=1e-12, atol=1e-12)
 
 
 def test_multi_exit_forward_gradients_match_op_chain_bitwise(monkeypatch):
