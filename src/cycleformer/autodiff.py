@@ -316,6 +316,18 @@ def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
+def gelu_grad_by_rows(x: np.ndarray, t: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    """`gelu_grad(x, t, g)` written over `g`, `rows` leading rows at a time.
+
+    The formula is elementwise, so the result is bitwise the full-array one,
+    while its temporaries hold `rows` rows instead of the whole array.
+    """
+    for r in range(0, len(g), rows):
+        c = slice(r, r + rows)
+        g[c] = gelu_grad(x[c], t[c], g[c])
+    return g
+
+
 def softmax_grad(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
     """Gradient of a softmax with output `s` given that output's gradient."""
     inner = np.sum(g * s, axis=axis, keepdims=True)

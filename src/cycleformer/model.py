@@ -460,7 +460,7 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         act, tanh_term = ad._gelu_parts(pre)
         g_act, g_w2 = ad.matmul_grad(act, w2, g_o)
         del act, g_o
-        g_pre = ad.gelu_grad(pre, tanh_term, g_act)
+        g_pre = ad.gelu_grad_by_rows(pre, tanh_term, g_act, t)  # one sequence at a time
         del tanh_term, g_act
         g_part, g_w1 = ad.matmul_grad(flat, w1, g_pre)
         # With the gate, its term came first on the per-op tape.
@@ -491,10 +491,31 @@ class ForwardResult:
 
 
 def _lm_logits(h: Tensor, params: ModelParameters) -> Tensor:
+    """Final layer norm, then the (tied or separate) LM head: (B, T, vocab).
+
+    One tape record covers both. It saves the layer norm's xhat and inv;
+    backward rebuilds the norm output, and returns the head weight's
+    gradient as the transposed view the op chain produced, so the sweep
+    accumulates the same bits.
+    """
     b, t, d = h.shape
-    hn = ad.layer_norm(h, params.final_g, params.final_b)
-    w = ad.transpose(params.head_weight(), (1, 0))
-    return ad.reshape(ad.matmul(ad.reshape(hn, (b * t, d)), w), (b, t, params.config.vocab))
+    head = params.head_weight()
+    inputs = (h, params.final_g, params.final_b, head)
+    ad._same_dtype(*inputs)
+    gamma, beta = params.final_g.data, params.final_b.data
+    w = head.data.T
+    y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
+    logits = Tensor(np.matmul(y.reshape(b * t, d), w).reshape(b, t, -1))
+    del y
+
+    def rule(g):
+        flat = ad.layer_norm_affine(xhat, gamma, beta).reshape(b * t, d)
+        g_flat, g_w = ad.matmul_grad(flat, w, g.reshape(b * t, -1))
+        del flat
+        g_x, g_gamma, g_beta = ad.layer_norm_grad(g_flat.reshape(b, t, d), xhat, inv, gamma)
+        return g_x, g_gamma, g_beta, g_w.T
+
+    return ad._finish(logits, rule, *inputs)
 
 
 def forward(

@@ -25,7 +25,7 @@ from .telemetry import CycleTelemetry
 
 METRICS_COLUMNS = (
     "step", "split", "exit", "loss", "ppl", "cycle", "zero_attn_mean", "gate_mean",
-    "lr", "avg_loop", "step_ms", "tok_s", "grad_norm",
+    "group", "update_ratio", "lr", "avg_loop", "step_ms", "tok_s", "grad_norm",
 )
 METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
@@ -121,6 +121,8 @@ class MetricsWriter:
     def _fmt(value) -> str:
         if value is None:
             return ""
+        if isinstance(value, str):
+            return value
         if isinstance(value, (int, np.integer)):
             return str(int(value))
         return f"{float(value):.6g}"
@@ -156,9 +158,9 @@ class TrainResult:
     steps_done: int = 0
 
 
-def _log_step(metrics, step, per_exit, telemetry: CycleTelemetry, **shared):
-    """Write a step's per-exit and per-cycle rows; `shared` (lr and the step's
-    timing and grad norm) goes on every row."""
+def _log_step(metrics, step, per_exit, telemetry: CycleTelemetry, ratios: dict, **shared):
+    """Write a step's per-exit, per-cycle and per-group rows; `shared` (lr and
+    the step's timing and grad norm) goes on every row."""
     for i, loss in enumerate(per_exit, start=1):
         metrics.row(step, "train", exit=i, loss=loss, ppl=math.exp(min(loss, 30.0)), **shared)
     zattn, gates = telemetry.zero_attn_by_cycle(), telemetry.gate_by_cycle()
@@ -166,7 +168,21 @@ def _log_step(metrics, step, per_exit, telemetry: CycleTelemetry, **shared):
         metrics.row(
             step, "train", cycle=cycle, zero_attn_mean=zattn.get(cycle), gate_mean=gates.get(cycle), **shared
         )
+    for group, ratio in ratios.items():
+        metrics.row(step, "train", group=group, update_ratio=ratio, **shared)
     metrics.flush()
+
+
+def _update_ratios(params: dict[str, Tensor], before: dict[str, np.ndarray]) -> dict[str, float | None]:
+    """Per parameter group (the name up to its first "."), the RMS of this
+    step's update over the RMS of the weights before it, summed in float64;
+    None for a group whose weights were all zero."""
+    sums: dict[str, list[float]] = {}
+    for name, p in params.items():
+        acc = sums.setdefault(name.split(".", 1)[0], [0.0, 0.0])
+        acc[0] += float(np.square(p.data - before[name], dtype=np.float64).sum())
+        acc[1] += float(np.square(before[name], dtype=np.float64).sum())
+    return {group: math.sqrt(du / w) if w else None for group, (du, w) in sorted(sums.items())}
 
 
 def _grad_norm(params: dict[str, Tensor]) -> float:
@@ -235,12 +251,16 @@ def train(
             else:
                 per_exit_acc = [a + x / plan.grad_accum for a, x in zip(per_exit_acc, per_exit)]
         _check_grads_finite(optimizer.params, step, step_loss)
+        logged = metrics is not None and (step % plan.log_interval == 0 or step == plan.steps - 1)
+        if logged:  # the step updates the weights in place
+            before = {name: p.data.copy() for name, p in optimizer.params.items()}
         optimizer.step(lr)
         step_s = time.perf_counter() - started
         losses.append(step_loss)
-        if metrics is not None and (step % plan.log_interval == 0 or step == plan.steps - 1):
+        if logged:
             _log_step(
-                metrics, step, per_exit_acc, telemetry, lr=lr, step_ms=step_s * 1e3,
-                tok_s=tokens_per_step / step_s, grad_norm=_grad_norm(optimizer.params),
+                metrics, step, per_exit_acc, telemetry, _update_ratios(optimizer.params, before),
+                lr=lr, step_ms=step_s * 1e3, tok_s=tokens_per_step / step_s,
+                grad_norm=_grad_norm(optimizer.params),
             )
     return TrainResult(params, optimizer, losses, steps_done=end)

@@ -1,9 +1,10 @@
-"""The attention and FFN blocks as chains of the standalone tape ops.
+"""The attention and FFN blocks and the LM head as chains of the standalone tape ops.
 
-`model.attention_with_zero_token` and `model.gated_ffn` each record one
-fused tape entry. These are the same blocks built op by op, one tape record
-per primitive, with the same arguments and return values: the reference the
-fused records must match bitwise, outputs and gradients alike.
+`model.attention_with_zero_token`, `model.gated_ffn` and `model._lm_logits`
+each record one fused tape entry. These are the same computations built op
+by op, one tape record per primitive, with the same arguments and return
+values: the reference the fused records must match bitwise, outputs and
+gradients alike.
 """
 import numpy as np
 
@@ -57,9 +58,17 @@ def reference_ffn(h, rec, use_gate):
     return h_f, gate_np
 
 
+def reference_lm_logits(h, params):
+    b, t, d = h.shape
+    hn = ad.layer_norm(h, params.final_g, params.final_b)
+    w = ad.transpose(params.head_weight(), (1, 0))
+    return ad.reshape(ad.matmul(ad.reshape(hn, (b * t, d)), w), (b, t, params.config.vocab))
+
+
 def use_reference_blocks(monkeypatch):
-    """Make `model.forward` run the op-by-op blocks for the rest of a test."""
+    """Make `model.forward` run the op-by-op blocks and LM head for the rest of a test."""
     import cycleformer.model as model
 
     monkeypatch.setattr(model, "attention_with_zero_token", reference_attention)
     monkeypatch.setattr(model, "gated_ffn", reference_ffn)
+    monkeypatch.setattr(model, "_lm_logits", reference_lm_logits)

@@ -81,7 +81,12 @@ def _wait_or_run(target: Path, log: Path, cmd: list[str], wait_minutes: int = 50
             time.sleep(10)
         raise RuntimeError(f"timed out waiting for {target}")
     print(f"cache cold: running {' '.join(cmd[:3])} ... (this trains a real model)", flush=True)
-    subprocess.run(cmd, check=True, cwd=TESTS.parent)
+    # pytest's `pythonpath` setting reaches only this process: the producer
+    # finds the package through PYTHONPATH, ahead of any inherited entries.
+    src = os.fspath(TESTS.parent / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+    subprocess.run(cmd, check=True, cwd=TESTS.parent, env=env)
 
 
 def _stale_note(stamps: set, script: str, argv: list[str]) -> str:

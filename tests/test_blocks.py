@@ -1,10 +1,11 @@
-"""Fused block records: one tape entry per attention and per FFN application.
+"""Fused block records: one tape entry per attention and per FFN application,
+and one per LM head.
 
-`attention_with_zero_token` and `gated_ffn` must match the op-by-op chain of
-standalone tape ops (tests/reference_blocks.py) bitwise in float32: outputs,
-telemetry arrays and every input gradient, alone and inside a full
-multi-exit forward. A float64 finite-difference check covers the fused rules
-on their own.
+`attention_with_zero_token`, `gated_ffn` and `_lm_logits` must match the
+op-by-op chain of standalone tape ops (tests/reference_blocks.py) bitwise in
+float32: outputs, telemetry arrays and every input gradient, alone and
+inside a full multi-exit forward. A float64 finite-difference check covers
+the fused rules on their own.
 """
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cycleformer.config import RunConfig, model_config
 from cycleformer.data import ByteVocabulary, make_synthetic_corpus
 from cycleformer.model import (
     ModelConfig,
+    _lm_logits,
     attention_with_zero_token,
     forward,
     gated_ffn,
@@ -24,7 +26,12 @@ from cycleformer.model import (
 from cycleformer.train import TrainPlan, multi_exit_loss, train
 
 from gradcheck import check_grads
-from reference_blocks import reference_attention, reference_ffn, use_reference_blocks
+from reference_blocks import (
+    reference_attention,
+    reference_ffn,
+    reference_lm_logits,
+    use_reference_blocks,
+)
 
 B, T, D, HEADS = 2, 5, 16, 4
 
@@ -129,6 +136,72 @@ def test_fused_record_gradcheck_float64(name):
     assert not failures, "\n".join(failures)
 
 
+VOCAB = 11
+
+
+def head_params(dtype, tie, seed=0):
+    """A model whose final norm and head weight are random in every entry."""
+    cfg = ModelConfig(
+        variant="V", all_layers=1, loop_count=1, d_model=D, n_heads=HEADS, d_ff=24,
+        vocab=VOCAB, tie_embeddings=tie,
+    )
+    params = init_parameters(cfg, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed + 200)
+    for t in (params.final_g, params.final_b, params.head_weight()):
+        t.data[...] = rng.normal(0.0, 0.5, size=t.shape)
+    params.final_g.data += 1.0
+    return params
+
+
+def head_loss(logits, targets):
+    return ad.cross_entropy(ad.reshape(logits, (B * T, VOCAB)), targets)
+
+
+@pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+def test_lm_head_record_matches_op_chain_bitwise(tie):
+    params = head_params(np.float32, tie)
+    rng = np.random.default_rng(2)
+    h = parameter(rng.normal(size=(B, T, D)), dtype=np.float32)
+    targets = rng.integers(0, VOCAB, size=B * T)
+    named = {"h": h, **params.named()}
+
+    def run(head):
+        for t in named.values():
+            t.grad = None
+        with Tape() as tape:
+            logits = head(h, params)
+            loss = head_loss(logits, targets)
+        records = len(tape)
+        backward(tape, loss)
+        return logits.data, records, {k: t.grad for k, t in named.items()}
+
+    got_logits, got_records, got = run(_lm_logits)
+    want_logits, want_records, want = run(reference_lm_logits)
+    assert (got_records, want_records) == (3, 7)  # head, then the loss's reshape and cross-entropy
+    np.testing.assert_array_equal(got_logits, want_logits)
+    head = "tok_emb" if tie else "lm_head"
+    for key in ("h", "final_norm.g", "final_norm.b", head):
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    # The head weight's gradient is the transposed view the chain returned.
+    assert got[head].strides == want[head].strides
+    assert all(got[k] is None for k in named.keys() - {"h", "final_norm.g", "final_norm.b", head})
+
+
+@pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+def test_lm_head_record_gradcheck_float64(tie):
+    params = head_params(np.float64, tie, seed=3)
+    rng = np.random.default_rng(4)
+    h = parameter(rng.normal(size=(B, T, D)), dtype=np.float64)
+    targets = rng.integers(0, VOCAB, size=B * T)
+    named = {"h": h, "final_norm.g": params.final_g, "final_norm.b": params.final_b,
+             "head": params.head_weight()}
+    failures = check_grads(
+        lambda: head_loss(_lm_logits(h, params), targets), named,
+        rng=np.random.default_rng(5), max_entries_per_param=6,
+    )
+    assert not failures, "\n".join(failures)
+
+
 def multi_exit_grads(cfg, params, ids, targets):
     named = params.named()
     for p in named.values():
@@ -216,9 +289,9 @@ def test_multi_exit_forward_gradients_match_op_chain_bitwise(monkeypatch):
 
 
 def test_canonical_train_step_tape_length_is_pinned(monkeypatch):
-    # Embedding 5, ten block applications x 2, three LM heads x 5, the
+    # Embedding 5, ten block applications x 2, three LM heads x 1, the
     # multi-exit loss 11 and train's grad_accum scale 1 (406 records when
-    # every block ran op by op).
+    # every block and LM head ran op by op).
     rc = RunConfig(early_exit_heads=True)
     cfg = model_config(rc)
     assert (cfg.variant, cfg.all_layers, cfg.loop_count, cfg.d_model) == ("ZTT", 4, 3, 128)
@@ -232,5 +305,5 @@ def test_canonical_train_step_tape_length_is_pinned(monkeypatch):
     monkeypatch.setattr(train_mod, "backward", spy)
     ids = ByteVocabulary().encode(make_synthetic_corpus(4000, seed=0))
     train(cfg, TrainPlan(steps=1, batch=8), ids)
-    assert lengths == [52]
+    assert lengths == [40]
     assert lengths[0] <= 60

@@ -224,6 +224,31 @@ def test_corrupted_model_loads_or_raises_checkpoint_error(tiny_model_bytes, tmp_
         pass
 
 
+def test_resume_from_float64_moments_matches_the_uninterrupted_run(tmp_path):
+    # A checkpoint whose moments are float64, as older code wrote them: they
+    # load as the float32 state, so the resumed run retraces the full one.
+    rc = small_rc()
+    cfg = model_config(rc)
+    ids = np.random.default_rng(3).integers(0, 59, size=4000).astype(np.int64)
+    plan = TrainPlan(steps=rc.steps, batch=rc.batch, lr=rc.lr, seed=rc.seed)
+    full = train(cfg, plan, ids)
+    half = train(cfg, plan, ids, stop_step=3)
+    tensors = {k: t.data for k, t in half.params.named().items()}
+    for key, arr in half.optimizer.state_tensors().items():
+        tensors[key] = arr.astype(np.float64)
+    path = os.fspath(tmp_path / "f64.bin")
+    save_checkpoint(path, serialize_run_config(rc), tensors)
+
+    loaded = load_model(path)
+    assert loaded.optim_state["optim.m.tok_emb"].dtype == np.float64
+    optimizer = loaded.make_optimizer()
+    assert {a.dtype for a in (*optimizer.m.values(), *optimizer.v.values())} == {np.dtype(np.float32)}
+    resumed = train(cfg, plan, ids, params=loaded.params, optimizer=optimizer, start_step=loaded.step)
+    assert full.losses[3:] == resumed.losses
+    for name, t in full.params.named().items():
+        np.testing.assert_array_equal(t.data, resumed.params.named()[name].data, err_msg=name)
+
+
 def test_resume_through_checkpoint_is_bitwise(tmp_path):
     rc = small_rc()
     cfg = model_config(rc)

@@ -464,6 +464,48 @@ def test_logged_rows_carry_step_time_and_grad_norm(tmp_path):
             assert float(r["grad_norm"]) == pytest.approx(expected, rel=1e-5)
 
 
+def test_logged_steps_write_each_groups_update_to_weight_rms_ratio(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    ids = tiny_corpus(seed=6)
+    plan = TrainPlan(steps=5, batch=2, seed=7, log_interval=2)
+    calls = []
+    inner = train_mod._update_ratios
+
+    def spy(params, before):
+        calls.append(len(before))
+        return inner(params, before)
+
+    monkeypatch.setattr(train_mod, "_update_ratios", spy)
+    train(cfg, plan, ids)  # no metrics writer: no step pays for the ratios
+    assert calls == []
+    path = os.fspath(tmp_path / "metrics.csv")
+    with MetricsWriter(path) as metrics:
+        train(cfg, plan, ids, metrics=metrics)
+    assert len(calls) == 3  # steps 0, 2 and 4 only
+
+    header = METRICS_HEADER.split(",")
+    rows = [dict(zip(header, r.split(","))) for r in open(path).read().splitlines()[1:]]
+    groups = [r for r in rows if r["group"]]
+    by_step = {}
+    for r in groups:
+        assert r["update_ratio"] and float(r["grad_norm"]) > 0 and r["lr"]
+        by_step.setdefault(int(r["step"]), {})[r["group"]] = float(r["update_ratio"])
+    assert sorted(by_step) == [0, 2, 4]
+    expected = ["final_norm", "layer1", "layer2", "layer3", "pos_emb", "tok_emb", "zero_key"]
+    assert all(sorted(g) == expected for g in by_step.values())
+
+    # Step 2's ratio for a group, from the weights around that update.
+    params = init_parameters(cfg, seed=plan.seed)
+    optimizer = AdamW(params.named(), weight_decay=plan.weight_decay)
+    train(cfg, plan, ids, params=params, optimizer=optimizer, stop_step=2)
+    w0 = {k: p.data.copy() for k, p in params.named().items() if k.startswith("layer2.")}
+    train(cfg, plan, ids, params=params, optimizer=optimizer, start_step=2, stop_step=3)
+    du = sum(float(np.square(params.named()[k].data - w, dtype=np.float64).sum()) for k, w in w0.items())
+    ww = sum(float(np.square(w, dtype=np.float64).sum()) for w in w0.values())
+    assert by_step[2]["layer2"] == pytest.approx(math.sqrt(du / ww), rel=1e-5)
+    assert 0 < by_step[2]["layer2"] < 1
+
+
 def test_grad_accum_logs_telemetry_of_every_micro_batch(tmp_path):
     cfg = tiny_config()
     ids = tiny_corpus(seed=2)
