@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Fingerprint training, evaluation and decode bitwise; report training's allocator cost.
 
-Runs the benchmark's train recipe: the canonical ZTT config (L=4, N=3,
-d=128, h=4, d_ff=512, T=64, B=8, exit heads on), seed 0,
-TrainPlan(steps=1_000_000, warmup_frac=1e-5), corpus
-make_synthetic_corpus(200_000, seed=0), one BLAS thread, one optimizer step
-at a time, for 60 steps. It first prints the sha256 of the corpus bytes,
+Runs the benchmark's train recipe, with the canonical config, corpus size
+and BLAS thread count read from perfbench/common.py (ZTT, L=4, N=3, d=128,
+h=4, d_ff=512, T=64, B=8, exit heads on; 200,000 bytes; one thread): seed
+0, TrainPlan(steps=1_000_000, warmup_frac=1e-5), corpus
+make_synthetic_corpus(CORPUS_BYTES, seed=0), one optimizer step at a time,
+for 60 steps. It first prints the sha256 of the corpus bytes,
 so a changed corpus generator is told apart from changed numerics
 (expected: 40ed2badd66d8dcd6bc54cda288a946c7410c20152d23f2f61d5ef592d2e6ab4).
 After step 40 it prints the sha256 over each parameter name in sorted order,
@@ -16,8 +17,9 @@ steps 10-59 it prints minor page faults and user/sys CPU ms per step
 allocations, and then the peak RSS.
 
 Last it fingerprints the no-tape paths on the benchmark's fixed checkpoint
-(perfbench/fixed). `eval sha256` covers the `evaluate` reports at exit
-thresholds 0.5, 1.0 and none over the committed validation tail, batch 8.
+(perfbench/fixed; paths from perfbench/common.py). `eval sha256` covers the
+`evaluate` reports at exit thresholds 0.5, 1.0 and none over the committed
+validation tail, batch 8.
 `decode sha256` covers greedy `generate` at threshold 0.5 and at full depth
 on the first 8 pool prompts, each filled to t_max: the ids, the cycles
 used, every `decode_step`'s logits and the final `DecodeCache.depth`.
@@ -37,22 +39,20 @@ import resource
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import common  # noqa: E402  (stdlib only)
+
 DIGEST_AT = 40
 MEASURE_FROM = 10
 STEPS = 60
-FIXED = Path(__file__).resolve().parent.parent / "perfbench" / "fixed"
 EVAL_THRESHOLDS = (0.5, 1.0, None)
 DECODE_THRESHOLDS = (0.5, None)
 DECODE_PROMPTS = 8
-CANONICAL = dict(
-    variant="ZTT", all_layers=4, loop_count=3, d_model=128, n_heads=4, d_ff=512,
-    t_max=64, batch=8, early_exit_heads=True,
-)
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+    ap.add_argument("--src", default=str(common.SRC),
                     help="directory holding the cycleformer package")
     return ap.parse_args(argv)
 
@@ -120,17 +120,17 @@ def decode_error(adaptive, model, params, cfg, valid, meta) -> float:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy loads BLAS
+    for var in common.BLAS_ENV:
+        os.environ[var] = str(common.BLAS_THREADS)  # before numpy loads BLAS
     sys.path.insert(0, args.src)
     from cycleformer import adaptive, checkpoint, data, evaluate, model, train
     from cycleformer.config import RunConfig, model_config
     from cycleformer.optim import AdamW
 
-    corpus = data.make_synthetic_corpus(200_000, seed=0)
+    corpus = data.make_synthetic_corpus(common.CORPUS_BYTES, seed=0)
     print(f"corpus sha256: {hashlib.sha256(corpus).hexdigest()}")
     ids = data.ByteVocabulary().encode(corpus)
-    rc = RunConfig(**CANONICAL, seed=0)
+    rc = RunConfig(**common.CANONICAL, seed=0)
     cfg = model_config(rc)
     plan = train.TrainPlan(
         steps=1_000_000, batch=rc.batch, lr=rc.lr, warmup_frac=1e-5,
@@ -154,9 +154,9 @@ def main(argv=None) -> int:
           f"sys {(after.ru_stime - before.ru_stime) * 1e3 / n:.1f} ms")
     print(f"peak RSS: {after.ru_maxrss / 1024:.1f} MB")
 
-    loaded = checkpoint.load_model(str(FIXED / "ztt_canonical.ckpt"))
-    valid = data.ByteVocabulary().encode((FIXED / "ztt_canonical_valid.bin").read_bytes())
-    meta = json.loads((FIXED / "ztt_canonical.json").read_text())
+    loaded = checkpoint.load_model(str(common.CKPT_PATH))
+    valid = data.ByteVocabulary().encode(common.VALID_PATH.read_bytes())
+    meta = json.loads(common.META_PATH.read_text())
     params, cfg = loaded.params, loaded.config
     print(f"eval sha256: {eval_digest(evaluate, adaptive, params, cfg, valid)}")
     print(f"decode sha256: {decode_digest(adaptive, params, cfg, valid, meta['prompt_pool'])}")

@@ -12,10 +12,10 @@ order, so every attention read sees a complete prefix). A position's tail
 entry is written once, at its own exit, and is never revised by later
 deepening; its emitted logits are final.
 
-Each application runs the model's own blocks on a one-token batch, with no
-tape: `attention_with_zero_token` over the slot's K/V rows, then `gated_ffn`.
-They are imported by name, so wrappers set on the `model` module (the
-benchmark tracer's spans) do not reach decode.
+Each token runs the model's own code on a one-token batch, with no tape:
+`embed`, then per application `attention_with_zero_token` over the slot's
+K/V rows and `gated_ffn`, then `_lm_logits`. They are imported by name, so
+wrappers set on the `model` module (the tracer's spans) do not reach decode.
 """
 from __future__ import annotations
 
@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, softmax_np
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, UsageError
 from .model import (
     ModelConfig,
     ModelParameters,
     _lm_logits,
     attention_with_zero_token,
     build_schedule,
+    embed,
     gated_ffn,
 )
 from .telemetry import aggregate
@@ -114,14 +115,6 @@ def _run_slot(cache: DecodeCache, slot_idx: int, pos: int, h: np.ndarray):
     return h_out.data[0, 0], None if zattn is None else float(zattn.mean())
 
 
-def _embed(cache: DecodeCache, token_id: int, pos: int) -> np.ndarray:
-    params = cache.params
-    v = params.tok_emb.data.shape[0]
-    if not 0 <= token_id < v:
-        raise DataError(f"token id {token_id} does not fit vocab={v}")
-    return params.tok_emb.data[token_id] + params.pos_emb.data[pos]
-
-
 def _ensure_prefix_depth(cache: DecodeCache, upto: int, target: int) -> None:
     """Deepen positions 0..upto-1 to `target` completed cycles, in order."""
     for p in range(upto):
@@ -152,7 +145,7 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
     t = cache.n_pos
     if t >= config.t_max:
         raise UsageError(f"context is full at t_max={config.t_max} positions")
-    h = _embed(cache, token_id, t)
+    h = embed(np.array([[token_id]]), cache.params, start=t).data[0, 0]
     used = config.n_exits
     for s in schedule.pre:
         h, _ = _run_slot(cache, s, t, h)
@@ -219,7 +212,9 @@ def generate(
         if temperature == 0.0:
             nxt = int(np.argmax(logits))
         else:
-            probs = softmax_np(logits.astype(np.float64) / temperature, axis=-1)
+            z = logits.astype(np.float64)
+            with np.errstate(over="ignore"):  # shifted first, a tiny temperature gives -inf, not inf
+                probs = softmax_np((z - z.max()) / temperature, axis=-1)
             nxt = int(rng.choice(len(probs), p=probs / probs.sum()))
         new_ids.append(nxt)
         logits, _ = decode_step(cache, nxt, policy)

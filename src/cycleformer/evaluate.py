@@ -216,13 +216,15 @@ def budget_sweep(
     """Train each variant at every layout that fills the depth budget.
 
     All rows share base's width, data and step count, so differences come
-    from how the budget is spent, not from tuning.
+    from how the budget is spent, not from tuning. An infeasible variant
+    fails before anything trains.
     """
-    rows: list[SweepRow] = []
-    for variant in variants:
-        picks = (layouts or {}).get(variant) or enumerate_layouts(budget, variant)
+    todo = [(v, (layouts or {}).get(v) or enumerate_layouts(budget, v)) for v in variants]
+    for variant, picks in todo:
         if not picks:
             raise ConfigError(f"no feasible layout spends depth {budget} on variant {variant}")
+    rows: list[SweepRow] = []
+    for variant, picks in todo:
         for l, n in picks:
             for seed in seeds:
                 rc = replace(

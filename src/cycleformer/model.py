@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import check_ids_fit
 from .errors import ConfigError, ShapeError
 from .telemetry import CycleTelemetry
 
@@ -170,38 +171,22 @@ class LayerParameters:
         return out
 
 
+@dataclass(eq=False, repr=False)
 class ModelParameters:
     """Registry of every trainable tensor, with layer positions resolved to
     (possibly shared) records and zero-token keys indexed by (layer, cycle)."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        tok_emb: Tensor,
-        pos_emb: Tensor,
-        lm_head: Tensor | None,
-        final_g: Tensor,
-        final_b: Tensor,
-        records: dict[str, LayerParameters],
-        pool: dict[tuple[int, int], Tensor],
-    ):
-        self.config = config
-        self.tok_emb = tok_emb
-        self.pos_emb = pos_emb
-        self.lm_head = lm_head
-        self.final_g = final_g
-        self.final_b = final_b
-        self.records = records
-        self.pool = pool
-
-    def record_key(self, layer: int) -> str:
-        cfg = self.config
-        if cfg.share_middle and 2 <= layer <= cfg.all_layers - 1:
-            return "layer_mid"
-        return f"layer{layer}"
+    config: ModelConfig
+    tok_emb: Tensor
+    pos_emb: Tensor
+    lm_head: Tensor | None
+    final_g: Tensor
+    final_b: Tensor
+    records: dict[str, LayerParameters]
+    pool: dict[tuple[int, int], Tensor]
 
     def record(self, layer: int) -> LayerParameters:
-        return self.records[self.record_key(layer)]
+        return self.records[record_key(self.config, layer)]
 
     def head_weight(self) -> Tensor:
         return self.tok_emb if self.lm_head is None else self.lm_head
@@ -223,10 +208,12 @@ class ModelParameters:
         return self.tok_emb.data.dtype
 
 
-def _record_keys(config: ModelConfig) -> list[str]:
-    if config.share_middle:
-        return ["layer1", "layer_mid", f"layer{config.all_layers}"]
-    return [f"layer{i}" for i in range(1, config.all_layers + 1)]
+def record_key(config: ModelConfig, layer: int) -> str:
+    """The weight record layer `layer` reads: with share_middle every cycled
+    layer reads the one `layer_mid` record, otherwise each has its own."""
+    if config.share_middle and layer in config.cycled_layers:
+        return "layer_mid"
+    return f"layer{layer}"
 
 
 def init_parameters(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParameters:
@@ -247,7 +234,7 @@ def init_parameters(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Mod
     pos_emb = w(tm, d)
     lm_head = None if config.tie_embeddings else w(v, d)
     records: dict[str, LayerParameters] = {}
-    for key in _record_keys(config):
+    for key in dict.fromkeys(record_key(config, i) for i in range(1, config.all_layers + 1)):
         rec = LayerParameters(
             wq=w(d, d), wk=w(d, d), wv=w(d, d), wo=w(d, d),
             ln1_g=ones(d), ln1_b=zeros(d),
@@ -269,21 +256,14 @@ def init_parameters(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Mod
 
 
 def param_count(config: ModelConfig) -> dict:
-    """Closed-form parameter budget; must equal the actual array sizes."""
-    d, dff, v, tm = config.d_model, config.d_ff, config.vocab, config.t_max
-    n_records = 3 if config.share_middle else config.all_layers
-    attn = 4 * d * d
-    ffn = d * dff + dff + dff * d + d
-    norms = 4 * d
-    by_group = {
-        "embeddings": v * d + tm * d + (0 if config.tie_embeddings else v * d),
-        "blocks": n_records * (attn + ffn + norms),
-        "gates": n_records * (d + 1) if config.use_gate else 0,
-        "zero_token_pool": len(config.cycled_layers) * config.loop_count * d
-        if config.use_zero_token
-        else 0,
-        "final_norm": 2 * d,
-    }
+    """Sizes of the arrays `init_parameters` builds: the total and, by group,
+    embeddings, blocks, gates, zero_token_pool and final_norm."""
+    by_group = dict.fromkeys(("embeddings", "blocks", "gates", "zero_token_pool", "final_norm"), 0)
+    groups = {"tok_emb": "embeddings", "pos_emb": "embeddings", "lm_head": "embeddings",
+              "zero_key": "zero_token_pool", "final_norm": "final_norm"}
+    for name, t in init_parameters(config).named().items():
+        key, _, sub = name.partition(".")
+        by_group[groups.get(key) or ("gates" if sub.startswith("gate.") else "blocks")] += t.data.size
     return {"total": sum(by_group.values()), "by_group": by_group}
 
 
@@ -490,6 +470,33 @@ class ForwardResult:
         return self.exit_logits[-1]
 
 
+def embed(ids: np.ndarray, params: ModelParameters, start: int = 0) -> Tensor:
+    """Token plus position embedding of (B, T) ids at positions start..: (B, T, d).
+
+    One tape record covers both. Backward scatter-adds into the token table,
+    as `ad.embedding` does, and writes the batch sum into the position rows.
+    """
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError(f"token ids must be integers, got {ids.dtype}")
+    tok, pos = params.tok_emb, params.pos_emb
+    check_ids_fit(ids, tok.shape[0], "input")
+    dtype = ad._same_dtype(tok, pos)
+    tok_shape, pos_shape = tok.shape, pos.shape
+    b, t = ids.shape
+    rows = slice(start, start + t)
+    out = Tensor(tok.data[ids] + pos.data[rows])
+
+    def rule(g):
+        g_tok = np.zeros(tok_shape, dtype)
+        np.add.at(g_tok, ids.reshape(-1), g.reshape(b * t, -1))
+        g_pos = np.zeros(pos_shape, dtype)
+        g_pos[rows] = g[0] if b == 1 else np.sum(g, axis=0)
+        return g_tok, g_pos
+
+    return ad._finish(out, rule, tok, pos)
+
+
 def _lm_logits(h: Tensor, params: ModelParameters) -> Tensor:
     """Final layer norm, then the (tied or separate) LM head: (B, T, vocab).
 
@@ -543,9 +550,7 @@ def forward(
         raise ShapeError(f"sequence length {t} outside [1, t_max={config.t_max}]")
     schedule = build_schedule(config)
 
-    tok = ad.embedding(params.tok_emb, ids)
-    pos = ad.narrow(params.pos_emb, 0, 0, t)
-    h = ad.add(tok, ad.expand(ad.reshape(pos, (1, t, config.d_model)), tok.shape))
+    h = embed(ids, params)
 
     telemetry = CycleTelemetry()
     exits: list[Tensor] = []
@@ -593,10 +598,11 @@ def init_from_vanilla(
 ) -> ModelParameters:
     """Warm-start a head-tail cycled model from a trained vanilla stack.
 
-    Head and tail copy verbatim; the shared middle record is the elementwise
-    mean of the vanilla middle layers; zero-token keys draw fresh; gates start
-    near-unity (zero weights, +4 bias) so the warm start behaves like the
-    source stack. Requires an aliased middle, i.e. share_middle or L == 3.
+    Every tensor name the two share copies verbatim, except the middle
+    record, which is the elementwise mean of the vanilla middle layers;
+    zero-token keys draw fresh; gates start near-unity (zero weights, +4
+    bias) so the warm start behaves like the source stack. Requires an
+    aliased middle, i.e. share_middle or L == 3.
     """
     src_cfg = vanilla.config
     if src_cfg.variant != "V":
@@ -611,22 +617,16 @@ def init_from_vanilla(
                 f"retrofit mismatch on {f}: {getattr(src_cfg, f)} vs {getattr(target_config, f)}"
             )
     out = init_parameters(target_config, seed=seed, dtype=vanilla.dtype())
-    for name in ("tok_emb", "pos_emb", "final_g", "final_b"):
-        getattr(out, name).data[...] = getattr(vanilla, name).data
-    if vanilla.lm_head is not None:
-        out.lm_head.data[...] = vanilla.lm_head.data
-    l = target_config.all_layers
-    copies = {"layer1": vanilla.records["layer1"], f"layer{l}": vanilla.records[f"layer{l}"]}
-    for key, src in copies.items():
-        dst = out.records[key]
-        for sub, t in src.tensors().items():
-            dst.tensors()[sub].data[...] = t.data
-    mid_key = "layer_mid" if target_config.share_middle else "layer2"
-    dst_mid = out.records[mid_key]
-    src_mids = [vanilla.records[f"layer{i}"] for i in range(2, l)]
-    for sub in src_mids[0].tensors():
-        stacked = np.stack([rec.tensors()[sub].data for rec in src_mids])
-        dst_mid.tensors()[sub].data[...] = stacked.mean(axis=0)
+    src = vanilla.named()
+    middle = target_config.cycled_layers
+    mid_key = record_key(target_config, middle[0])
+    for name, t in out.named().items():
+        key, _, sub = name.partition(".")
+        if key != mid_key:
+            if name in src:
+                t.data[...] = src[name].data
+        elif f"layer{middle[0]}.{sub}" in src:
+            t.data[...] = np.stack([src[f"layer{i}.{sub}"].data for i in middle]).mean(axis=0)
     if target_config.use_gate:
         for rec in out.records.values():
             rec.gate_w.data[...] = 0.0

@@ -1,16 +1,24 @@
-"""The attention and FFN blocks and the LM head as chains of the standalone tape ops.
+"""The embedding, the attention and FFN blocks and the LM head as chains of
+the standalone tape ops.
 
-`model.attention_with_zero_token`, `model.gated_ffn` and `model._lm_logits`
-each record one fused tape entry. These are the same computations built op
-by op, one tape record per primitive, with the same arguments and return
-values: the reference the fused records must match bitwise, outputs and
-gradients alike.
+`model.embed`, `model.attention_with_zero_token`, `model.gated_ffn` and
+`model._lm_logits` each record one fused tape entry. These are the same
+computations built op by op, one tape record per primitive, with the same
+arguments and return values: the reference the fused records must match
+bitwise, outputs and gradients alike.
 """
 import numpy as np
 
 import cycleformer.autodiff as ad
 from cycleformer.errors import ShapeError
 from cycleformer.model import build_causal_mask
+
+
+def reference_embed(ids, params, start=0):
+    t = np.shape(ids)[1]
+    tok = ad.embedding(params.tok_emb, ids)
+    pos = ad.narrow(params.pos_emb, 0, start, t)
+    return ad.add(tok, ad.expand(ad.reshape(pos, (1, t, params.config.d_model)), tok.shape))
 
 
 def reference_attention(h, rec, zkey, n_heads):
@@ -66,9 +74,11 @@ def reference_lm_logits(h, params):
 
 
 def use_reference_blocks(monkeypatch):
-    """Make `model.forward` run the op-by-op blocks and LM head for the rest of a test."""
+    """Make `model.forward` run the op-by-op embedding, blocks and LM head for
+    the rest of a test."""
     import cycleformer.model as model
 
+    monkeypatch.setattr(model, "embed", reference_embed)
     monkeypatch.setattr(model, "attention_with_zero_token", reference_attention)
     monkeypatch.setattr(model, "gated_ffn", reference_ffn)
     monkeypatch.setattr(model, "_lm_logits", reference_lm_logits)

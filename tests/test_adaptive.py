@@ -342,6 +342,14 @@ def test_generate_is_deterministic_per_seed():
     assert a.cycles_used == b.cycles_used
 
 
+def test_generate_at_a_tiny_temperature_samples_the_argmax():
+    # logits / 1e-320 overflows to inf; shifted by the max first it does not.
+    cfg, params = make_model(seed=2)
+    greedy = generate(params, cfg, [1, 2], 5)
+    tiny = generate(params, cfg, [1, 2], 5, temperature=1e-320, seed=17)
+    np.testing.assert_array_equal(tiny.ids, greedy.ids)
+
+
 def test_generate_respects_capacity():
     cfg, params = make_model(t_max=8)
     with pytest.raises(UsageError):

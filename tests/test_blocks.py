@@ -1,7 +1,7 @@
-"""Fused block records: one tape entry per attention and per FFN application,
-and one per LM head.
+"""Fused block records: one tape entry for the embedding, one per attention
+and per FFN application, and one per LM head.
 
-`attention_with_zero_token`, `gated_ffn` and `_lm_logits` must match the
+`embed`, `attention_with_zero_token`, `gated_ffn` and `_lm_logits` must match the
 op-by-op chain of standalone tape ops (tests/reference_blocks.py) bitwise in
 float32: outputs, telemetry arrays and every input gradient, alone and
 inside a full multi-exit forward. A float64 finite-difference check covers
@@ -19,6 +19,7 @@ from cycleformer.model import (
     ModelConfig,
     _lm_logits,
     attention_with_zero_token,
+    embed,
     forward,
     gated_ffn,
     init_parameters,
@@ -28,6 +29,7 @@ from cycleformer.train import TrainPlan, multi_exit_loss, train
 from gradcheck import check_grads
 from reference_blocks import (
     reference_attention,
+    reference_embed,
     reference_ffn,
     reference_lm_logits,
     use_reference_blocks,
@@ -202,6 +204,40 @@ def test_lm_head_record_gradcheck_float64(tie):
     assert not failures, "\n".join(failures)
 
 
+@pytest.mark.parametrize("start", [0, 2])
+@pytest.mark.parametrize("batch", [1, 3], ids=["one-row", "batch"])
+def test_embedding_record_matches_op_chain_bitwise(batch, start):
+    # One row takes expand's no-sum path; several sum the batch into pos_emb.
+    cfg = ModelConfig(
+        variant="V", all_layers=1, loop_count=1, d_model=D, n_heads=HEADS, d_ff=24,
+        vocab=VOCAB, t_max=T + start + 1,
+    )
+    params = init_parameters(cfg, seed=6)
+    rng = np.random.default_rng(7)
+    ids = rng.integers(0, VOCAB, size=(batch, T))
+    ids[0, 1] = ids[0, 0]  # a repeated id: the token gradient scatter-adds
+    targets = rng.integers(0, D, size=batch * T)
+    named = {"tok_emb": params.tok_emb, "pos_emb": params.pos_emb}
+
+    def run(emb):
+        for t in named.values():
+            t.grad = None
+        with Tape() as tape:
+            h = emb(ids, params, start)
+            loss = ad.cross_entropy(ad.reshape(h, (batch * T, D)), targets)
+        records = len(tape)
+        backward(tape, loss)
+        return h.data, records, {k: t.grad.copy() for k, t in named.items()}
+
+    got_h, got_records, got = run(embed)
+    want_h, want_records, want = run(reference_embed)
+    assert (got_records, want_records) == (3, 7)  # embedding, then the loss's reshape and cross-entropy
+    np.testing.assert_array_equal(got_h, want_h)
+    for key in named:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    assert not got["pos_emb"][:start].any() and not got["pos_emb"][start + T :].any()
+
+
 def multi_exit_grads(cfg, params, ids, targets):
     named = params.named()
     for p in named.values():
@@ -289,9 +325,9 @@ def test_multi_exit_forward_gradients_match_op_chain_bitwise(monkeypatch):
 
 
 def test_canonical_train_step_tape_length_is_pinned(monkeypatch):
-    # Embedding 5, ten block applications x 2, three LM heads x 1, the
+    # Embedding 1, ten block applications x 2, three LM heads x 1, the
     # multi-exit loss 11 and train's grad_accum scale 1 (406 records when
-    # every block and LM head ran op by op).
+    # the embedding, every block and every LM head ran op by op).
     rc = RunConfig(early_exit_heads=True)
     cfg = model_config(rc)
     assert (cfg.variant, cfg.all_layers, cfg.loop_count, cfg.d_model) == ("ZTT", 4, 3, 128)
@@ -305,5 +341,5 @@ def test_canonical_train_step_tape_length_is_pinned(monkeypatch):
     monkeypatch.setattr(train_mod, "backward", spy)
     ids = ByteVocabulary().encode(make_synthetic_corpus(4000, seed=0))
     train(cfg, TrainPlan(steps=1, batch=8), ids)
-    assert lengths == [40]
+    assert lengths == [36]
     assert lengths[0] <= 60

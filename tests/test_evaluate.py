@@ -239,6 +239,18 @@ def test_budget_sweep_runs_every_layout():
     assert "variant" in table.splitlines()[0]
 
 
+def test_budget_sweep_checks_every_layout_before_training(monkeypatch):
+    # Depth 3 fits V and BC but no head-tail layout: nothing may train first.
+    import cycleformer.evaluate as evaluate_mod
+
+    calls = []
+    monkeypatch.setattr(evaluate_mod, "train", lambda *a, **kw: calls.append(a))
+    base = RunConfig(d_model=16, n_heads=2, d_ff=32, t_max=8, batch=2, steps=1)
+    with pytest.raises(ConfigError, match="variant HTC"):
+        budget_sweep(3, ["V", "BC", "HTC"], corpus(200), corpus(200), base)
+    assert calls == []
+
+
 def test_budget_sweep_rejects_infeasible():
     base = RunConfig(d_model=16, n_heads=2, d_ff=32, vocab=59, t_max=8, steps=1, batch=2)
     with pytest.raises(ConfigError):

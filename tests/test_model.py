@@ -7,7 +7,9 @@ import pytest
 
 import cycleformer.autodiff as ad
 from cycleformer.autodiff import Tape, backward, constant, parameter, tensor
-from cycleformer.errors import ConfigError, ShapeError
+from cycleformer.adaptive import DecodeCache, decode_step
+from cycleformer.config import RunConfig, model_config
+from cycleformer.errors import ConfigError, DataError, ShapeError
 from cycleformer.model import (
     ModelConfig,
     attention_with_zero_token,
@@ -260,8 +262,19 @@ def test_forward_rejects_long_and_bad_inputs():
     params = random_params(cfg, seed=20)
     with pytest.raises(ShapeError):
         forward(np.arange(5), params, cfg)
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError, match=f"token id {cfg.vocab} does not fit vocab={cfg.vocab}"):
         forward(np.array([0, cfg.vocab]), params, cfg)
+    with pytest.raises(DataError, match="token id -1 does not fit"):
+        forward(np.array([[0, -1]]), params, cfg)
+
+
+def test_float_ids_are_refused_by_forward_and_decode():
+    cfg = tiny("ZTT")
+    params = random_params(cfg, seed=19)
+    with pytest.raises(ShapeError, match="integers"):
+        forward(np.array([0.0, 1.0]), params, cfg)
+    with pytest.raises(ShapeError, match="integers"):
+        decode_step(DecodeCache(params, cfg), 1.0)
 
 
 def test_forward_is_deterministic():
@@ -310,6 +323,18 @@ def test_param_count_matches_actual_arrays():
         params = init_parameters(cfg, seed=0)
         actual = sum(t.data.size for t in params.named().values())
         assert param_count(cfg)["total"] == actual, cfg.variant
+
+
+def test_canonical_param_count_is_pinned():
+    cfg = model_config(RunConfig())
+    assert (cfg.variant, cfg.all_layers, cfg.loop_count, cfg.d_model, cfg.d_ff) == ("ZTT", 4, 3, 128, 512)
+    assert param_count(cfg) == {
+        "total": 833_924,
+        "by_group": {
+            "embeddings": 41_344, "blocks": 791_040, "gates": 516,
+            "zero_token_pool": 768, "final_norm": 256,
+        },
+    }
 
 
 def test_share_middle_aliases_one_record():
@@ -416,6 +441,31 @@ def test_retrofit_middle_is_mean_of_vanilla_middles():
     assert set(retro.pool) == {(l, c) for l in (2, 3, 4) for c in (1, 2)}
     for rec in retro.records.values():
         assert float(rec.gate_b.data[0]) == 4.0
+
+
+@pytest.mark.parametrize("l,share", [(3, False), (5, True)], ids=["L3", "L5-shared"])
+@pytest.mark.parametrize("variant", ["HTC", "ZTT"])
+def test_retrofit_copies_shared_names_and_averages_the_middle(variant, l, share):
+    vanilla = init_parameters(tiny("V", l=l, n=1, d=8, heads=2), seed=37, dtype=np.float64)
+    tcfg = tiny(variant, l=l, n=2, d=8, heads=2, share_middle=share)
+    retro = init_from_vanilla(vanilla, tcfg, seed=38).named()
+    fresh = init_parameters(tcfg, seed=38, dtype=np.float64).named()
+    src = vanilla.named()
+    mid = "layer_mid" if share else "layer2"
+    assert set(retro) == set(fresh)
+    for name, t in retro.items():
+        key, _, sub = name.partition(".")
+        if sub.startswith("gate."):
+            assert (t.data == (0.0 if sub == "gate.w" else 4.0)).all(), name
+        elif key == mid:
+            want = np.stack([src[f"layer{i}.{sub}"].data for i in range(2, l)]).mean(0)
+            np.testing.assert_array_equal(t.data, want, err_msg=name)
+        elif key == "zero_key":
+            np.testing.assert_array_equal(t.data, fresh[name].data, err_msg=name)
+        else:
+            np.testing.assert_array_equal(t.data, src[name].data, err_msg=name)
+    assert any(name.startswith("zero_key.") for name in retro) == (variant == "ZTT")
+    assert any(".gate." in name for name in retro) == (variant == "ZTT")
 
 
 def test_retrofit_rejects_bad_sources():
