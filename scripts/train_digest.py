@@ -14,7 +14,11 @@ then the C-contiguous bytes of the parameter, its AdamW `m` and its `v`: a
 refactor that leaves this digest unchanged kept the numerics bitwise. Over
 steps 10-59 it prints minor page faults and user/sys CPU ms per step
 (resource.getrusage of this process), past the first steps' one-time
-allocations, and then the peak RSS.
+allocations, and then the peak RSS. Then one extra forward, on step 60's
+batch, under tracemalloc: the MB the tape holds once the forward returns,
+and the traced peak through its backward. These count only Python's and
+numpy's allocations, so unlike faults and RSS they do not depend on the
+heap layout the process started with.
 
 Last it fingerprints the no-tape paths on the benchmark's fixed checkpoint
 (perfbench/fixed; paths from perfbench/common.py). `eval sha256` covers the
@@ -37,6 +41,7 @@ import json
 import os
 import resource
 import sys
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -118,12 +123,34 @@ def decode_error(adaptive, model, params, cfg, valid, meta) -> float:
     return err
 
 
+def tape_memory(ad, model, train, data, cfg, plan, params, ids, step) -> tuple[float, float]:
+    """MB held once one training forward has returned, and MB at the peak of
+    its backward, both as traced by tracemalloc from just before the forward.
+    The gradients start unset, as `optimizer.zero_grad` leaves them."""
+    for p in params.named().values():
+        p.grad = None
+    bp = data.BatchPlan(seq_len=cfg.t_max, batch=plan.batch, seed=plan.seed)
+    inputs, targets = data.next_batch(bp, ids, step)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            res = model.forward(inputs, params, cfg, capture_exits=cfg.early_exit_heads)
+            loss, _ = train.multi_exit_loss(res.exit_logits, targets)
+        del res
+        held = tracemalloc.get_traced_memory()[0]
+        ad.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return held / 2**20, peak / 2**20
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in common.BLAS_ENV:
         os.environ[var] = str(common.BLAS_THREADS)  # before numpy loads BLAS
     sys.path.insert(0, args.src)
-    from cycleformer import adaptive, checkpoint, data, evaluate, model, train
+    from cycleformer import adaptive, autodiff, checkpoint, data, evaluate, model, train
     from cycleformer.config import RunConfig, model_config
     from cycleformer.optim import AdamW
 
@@ -153,6 +180,8 @@ def main(argv=None) -> int:
           f"user {(after.ru_utime - before.ru_utime) * 1e3 / n:.1f} ms, "
           f"sys {(after.ru_stime - before.ru_stime) * 1e3 / n:.1f} ms")
     print(f"peak RSS: {after.ru_maxrss / 1024:.1f} MB")
+    held, peak = tape_memory(autodiff, model, train, data, cfg, plan, params, ids, STEPS)
+    print(f"tape after one forward: {held:.1f} MB held, {peak:.1f} MB traced peak through backward")
 
     loaded = checkpoint.load_model(str(common.CKPT_PATH))
     valid = data.ByteVocabulary().encode(common.VALID_PATH.read_bytes())

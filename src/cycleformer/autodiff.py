@@ -181,13 +181,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 slot.grad += g
 
 
+def recording(*inputs: Tensor) -> bool:
+    """Whether an op on `inputs` records: a tape is active and some input
+    needs a gradient."""
+    return _ACTIVE_TAPE.get() is not None and any(i.slot is not None for i in inputs)
+
+
 def _finish(out: Tensor, rule, *inputs: Tensor) -> Tensor:
     """Record a freshly computed output's slot with its inputs' slots and its
     gradient rule, which must bind arrays, never the tensors themselves."""
-    tape = _ACTIVE_TAPE.get()
-    if tape is not None and any(i.slot is not None for i in inputs):
+    if recording(*inputs):
         out.slot = _Slot()
-        tape._records.append((out.slot, tuple(i.slot for i in inputs), rule))
+        _ACTIVE_TAPE.get()._records.append((out.slot, tuple(i.slot for i in inputs), rule))
     return out
 
 
@@ -218,12 +223,13 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gelu_parts(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """tanh-approximation GELU of `x`, and the tanh term its derivative needs.
 
-    0.5 * x * (1 + tanh(C * (x + A * x^3))), built in place in two fresh
-    buffers. The cube is two multiplies: float32 `x ** 3` goes through a
-    generic power routine about 100x slower than `x * x * x`.
+    0.5 * x * (1 + tanh(C * (x + A * x^3))), built in place in a fresh tanh
+    buffer and in `out` (a fresh one if None). The cube is two multiplies:
+    float32 `x ** 3` goes through a generic power routine about 100x slower
+    than `x * x * x`.
     """
     t = x * x
     t *= x
@@ -231,7 +237,7 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0
+    out = np.add(t, 1.0, out=out)
     out *= x
     out *= 0.5
     return out, t
@@ -294,9 +300,10 @@ def layer_norm_grad(
     return dxhat, g_gamma, np.sum(g, axis=lead)
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of GELU at `x` given its output's gradient `g` and the tanh
-    term `t` of `_gelu_parts(x)`.
+    term `t` of `_gelu_parts(x)`, written into `out` (which may be `g`) or a
+    fresh array.
 
     d/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3A x^2), with
     1 - t^2 taken as (1 - t) * (1 + t), reusing the 1 + t of the first term.
@@ -312,26 +319,17 @@ def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     d *= s
     d += s
     d *= 0.5
-    d *= g
-    return d
-
-
-def gelu_grad_by_rows(x: np.ndarray, t: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
-    """`gelu_grad(x, t, g)` written over `g`, `rows` leading rows at a time.
-
-    The formula is elementwise, so the result is bitwise the full-array one,
-    while its temporaries hold `rows` rows instead of the whole array.
-    """
-    for r in range(0, len(g), rows):
-        c = slice(r, r + rows)
-        g[c] = gelu_grad(x[c], t[c], g[c])
-    return g
+    return np.multiply(d, g, out=d if out is None else out)
 
 
 def softmax_grad(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Gradient of a softmax with output `s` given that output's gradient."""
-    inner = np.sum(g * s, axis=axis, keepdims=True)
-    return s * (g - inner)
+    """Gradient of a softmax with output `s` given that output's gradient,
+    built in place in one fresh buffer: (g - sum(g * s)) * s."""
+    out = g * s
+    inner = np.sum(out, axis=axis, keepdims=True)
+    np.subtract(g, inner, out=out)
+    out *= s
+    return out
 
 
 def sigmoid_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:

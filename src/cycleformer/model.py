@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import check_ids_fit
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, UsageError
 from .telemetry import CycleTelemetry
 
 VARIANTS = ("V", "BC", "HTC", "ZTT")
@@ -312,14 +312,16 @@ def attention_with_zero_token(
     head, query) or None, full attention weights).
 
     Without `cache` the block allocates buffers of exactly the rows this call
-    reads. `cache` passes in buffers with at least that many rows: the
-    queries at positions start..start+T-1 write their rows there, and each
-    attends over every row up to its own. The backward rule assumes no cache:
-    incremental decode runs without a tape.
+    reads, and `start` must be 0. `cache` passes in buffers with at least
+    that many rows: the queries at positions start..start+T-1 write their
+    rows there, and each attends over every row up to its own. A cached call
+    does not record: under a tape, with an input that needs a gradient, it
+    raises `UsageError` (incremental decode runs without a tape).
 
-    One tape record covers the block. It saves the layer norm's xhat and inv,
-    the queries, the key and value buffers, and the attention weights;
-    backward rebuilds the layer norm output and the head-merged mix.
+    One tape record covers the block. It saves the layer norm's xhat and inv
+    and the attention weights; backward rebuilds the layer norm output, the
+    queries and the key and value buffers (with the forward's GEMMs and its
+    zero-slot row 0), and the head-merged mix.
     """
     b, t, d = h.shape
     if d % n_heads != 0:
@@ -330,43 +332,60 @@ def attention_with_zero_token(
         if zkey.shape != (d,):
             raise ShapeError(f"zero-token key shape {zkey.shape} != ({d},)")
         inputs.append(zkey)
+    if cache is None and start:
+        raise UsageError(f"start {start} needs a cache holding the rows before it")
+    if cache is not None and ad.recording(*inputs):
+        raise UsageError("a cached attention call cannot record: its backward rule assumes no cache")
     dtype = ad._same_dtype(*inputs)
     zero_slot = zkey is not None
     z = 1 if zero_slot else 0
     keys = z + start + t  # buffer rows the queries read
     gamma, beta = rec.ln1_g.data, rec.ln1_b.data
     wq, wk, wv, wo = rec.wq.data, rec.wk.data, rec.wv.data, rec.wo.data
+    zkey_data = zkey.data if zero_slot else None
+
+    def project(flat, k_rows, v_rows):
+        """Queries, and the key and value buffers' first `keys` rows, each
+        (B, heads, rows, hd); writes this call's rows and the zero slot."""
+        q = _split_heads(np.matmul(flat, wq), b, t, n_heads)
+        if zero_slot:
+            k_rows[:, 0], v_rows[:, 0] = zkey_data, 0
+        k_rows[:, z + start : keys] = np.matmul(flat, wk).reshape(b, t, d)
+        v_rows[:, z + start : keys] = np.matmul(flat, wv).reshape(b, t, d)
+        return (q, _split_heads(k_rows[:, :keys], b, keys, n_heads),
+                _split_heads(v_rows[:, :keys], b, keys, n_heads))
+
+    def buffers():
+        return np.empty((b, keys, d), dtype), np.empty((b, keys, d), dtype)
+
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
-    flat = y.reshape(b * t, d)
-    q = _split_heads(np.matmul(flat, wq), b, t, n_heads)
-    k_rows, v_rows = cache or (np.empty((b, keys, d), dtype), np.empty((b, keys, d), dtype))
-    if zero_slot:
-        k_rows[:, 0], v_rows[:, 0] = zkey.data, 0
-    k_rows[:, z + start : keys] = np.matmul(flat, wk).reshape(b, t, d)
-    v_rows[:, z + start : keys] = np.matmul(flat, wv).reshape(b, t, d)
-    del y, flat
-    k = _split_heads(k_rows[:, :keys], b, keys, n_heads)
-    v = _split_heads(v_rows[:, :keys], b, keys, n_heads)
+    q, k, v = project(y.reshape(b * t, d), *(cache or buffers()))
+    del y
     scale = float(1.0 / np.sqrt(hd))
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    del q, k
     scores *= dtype.type(scale)  # in place: the bits of the out-of-place form, one buffer fewer
     if t > 1:  # one query sees every row it reads: no mask
         scores += build_causal_mask(t, zero_slot, dtype, start)
     weights = ad.softmax_np(scores, axis=-1)
     del scores
-    out = np.matmul(_merge_heads(np.matmul(weights, v)), wo)
-    h_att = Tensor(h.data + out.reshape(b, t, d))
-    del out
+    out = np.matmul(_merge_heads(np.matmul(weights, v)), wo).reshape(b, t, d)
+    del v
+    out += h.data  # the residual add in place: h + out, bitwise
+    h_att = Tensor(out)
 
     def rule(g):
         go = np.reshape(g, (b * t, d))
+        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
+        q, k, v = project(flat, *buffers())
         g_mix, g_wo = ad.matmul_grad(_merge_heads(np.matmul(weights, v)), wo, go)
         g_w, g_v = ad.matmul_grad(weights, v, _split_heads(g_mix, b, t, n_heads))
-        del g_mix
-        g_scores = ad.softmax_grad(weights, g_w) * scale
+        del g_mix, v
+        g_scores = ad.softmax_grad(weights, g_w)
         del g_w
+        g_scores *= scale
         g_q, g_kt = ad.matmul_grad(q, np.transpose(k, (0, 1, 3, 2)), g_scores)
-        del g_scores
+        del g_scores, q, k
         g_k = np.transpose(g_kt, (0, 1, 3, 2))
         grads = []
         if zero_slot:
@@ -375,7 +394,6 @@ def attention_with_zero_token(
             g_z = np.sum(g_k[:, :, 0:1, :], axis=(0,) if b != 1 else (), keepdims=True)
             grads.append(np.reshape(g_z, (d,)))
             g_k, g_v = g_k[:, :, 1:, :], g_v[:, :, 1:, :]
-        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
         # Accumulate in the order the per-op tape did: v, then k, then q.
         g_flat, g_wv = ad.matmul_grad(flat, wv, _merge_heads(g_v))
         g_part, g_wk = ad.matmul_grad(flat, wk, _merge_heads(g_k))
@@ -392,6 +410,13 @@ def attention_with_zero_token(
     return h_att, zero_attn, Tensor(weights)
 
 
+# Rows per chunk of the FFN's elementwise (B*T, d_ff) work: a chunk's tanh
+# term lives in cache instead of as a third full (B*T, d_ff) array. The GEMMs
+# stay whole: OpenBLAS takes other kernels for a few rows (under 16 rows at
+# d_ff=512), so a row-chunked product is not bitwise the whole one.
+FFN_CHUNK_ROWS = 64
+
+
 def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, np.ndarray | None]:
     """Pre-norm FFN with an optional per-token logistic gate on its output.
 
@@ -400,9 +425,12 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
 
     One tape record covers the block. It saves the layer norm's xhat and inv,
     the GELU input and, with the gate, the ungated output and the gate;
-    backward rebuilds the layer norm output and the GELU output and tanh term.
+    backward rebuilds the layer norm output and the GELU output. The GELU
+    and its gradient run FFN_CHUNK_ROWS rows at a time; they are
+    elementwise, so the bits are those of one full-array pass.
     """
     b, t, d = h.shape
+    n = b * t
     inputs = [h, h, rec.ln2_g, rec.ln2_b, rec.w1, rec.b1, rec.w2, rec.b2]
     if use_gate:
         if rec.gate_w is None:
@@ -412,24 +440,31 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
     gamma, beta = rec.ln2_g.data, rec.ln2_b.data
     w1, w2 = rec.w1.data, rec.w2.data
     gate_w = rec.gate_w.data if use_gate else None
+    chunks = [slice(r, r + FFN_CHUNK_ROWS) for r in range(0, n, FFN_CHUNK_ROWS)]
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
-    flat = y.reshape(b * t, d)
+    flat = y.reshape(n, d)
     pre = np.matmul(flat, w1)  # bias added in place, as in the attention's scores
     pre += rec.b1.data
-    o = np.matmul(ad._gelu_parts(pre)[0], w2)
+    act = np.empty_like(pre)
+    for c in chunks:
+        ad._gelu_parts(pre[c], out=act[c])
+    o = np.matmul(act, w2)
+    del act
     o += rec.b2.data
     gate = gate_np = None
     if use_gate:
         gate = ad.sigmoid_np(np.matmul(flat, gate_w) + rec.gate_b.data)
         gate_np = gate.reshape(b, t).copy()
     del y, flat
-    h_f = Tensor(h.data + (o if gate is None else o * gate).reshape(b, t, d))
+    out = o if gate is None else o * gate
+    out += h.data.reshape(n, d)  # the residual add in place: h + update, bitwise
+    h_f = Tensor(out.reshape(b, t, d))
     if gate is None:
         o = None  # backward reads the ungated output only for the gate's gradient
 
     def rule(g):
-        g_o = np.reshape(g, (b * t, d))
-        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
+        g_o = np.reshape(g, (n, d))
+        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (n, d))
         grads = []
         if gate is not None:
             g_o, g_gate = g_o * gate, np.sum(g_o * o, axis=-1, keepdims=True)
@@ -437,11 +472,16 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
             g_flat, g_gate_w = ad.matmul_grad(flat, gate_w, g_z)
             grads = [g_gate_w, ad.bias_grad(g_z)]
         g_b2 = ad.bias_grad(g_o)
-        act, tanh_term = ad._gelu_parts(pre)
-        g_act, g_w2 = ad.matmul_grad(act, w2, g_o)
+        # matmul_grad(act, w2, g_o) split in two around the GELU loop: the
+        # upstream gradient first, turned into the GELU input's in place.
+        g_pre = np.matmul(g_o, w2.T)
+        act = np.empty_like(pre)
+        for c in chunks:
+            _, tanh_term = ad._gelu_parts(pre[c], out=act[c])
+            ad.gelu_grad(pre[c], tanh_term, g_pre[c], out=g_pre[c])
+        del tanh_term
+        g_w2 = np.matmul(act.T, g_o)
         del act, g_o
-        g_pre = ad.gelu_grad_by_rows(pre, tanh_term, g_act, t)  # one sequence at a time
-        del tanh_term, g_act
         g_part, g_w1 = ad.matmul_grad(flat, w1, g_pre)
         # With the gate, its term came first on the per-op tape.
         if gate is not None:

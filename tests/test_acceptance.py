@@ -43,7 +43,7 @@ from cycleformer.train import TrainPlan, multi_exit_loss, train
 
 from gradcheck import check_grads
 from stepper import step_applications
-from test_model import _uniform_rows_hidden, _zkey_for_logit
+from test_model import _uniform_rows_hidden, _zkey_for_logit, closed_form_param_count
 
 TESTS = Path(__file__).resolve().parent
 ART = TESTS / "_artifacts"
@@ -305,6 +305,8 @@ def test_criterion_05_parameter_accounting(announce):
         for cfg in (v, bc, htc, ztt):
             checked += 1
             if param_count(cfg)["total"] != allocated(cfg):
+                mismatches += 1
+            if closed_form_param_count(cfg) != allocated(cfg):
                 mismatches += 1
         if param_count(bc)["total"] != param_count(v)["total"]:
             mismatches += 1

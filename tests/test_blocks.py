@@ -15,7 +15,9 @@ import cycleformer.train as train_mod
 from cycleformer.autodiff import Tape, backward, constant, parameter
 from cycleformer.config import RunConfig, model_config
 from cycleformer.data import ByteVocabulary, make_synthetic_corpus
+from cycleformer.errors import UsageError
 from cycleformer.model import (
+    FFN_CHUNK_ROWS,
     ModelConfig,
     _lm_logits,
     attention_with_zero_token,
@@ -79,7 +81,7 @@ CASES = {
 
 
 def block_loss(out, targets):
-    return ad.cross_entropy(ad.reshape(out, (B * T, D)), targets)
+    return ad.cross_entropy(ad.reshape(out, (len(targets), D)), targets)
 
 
 def taped_block(block, case, h, rec, zkey, targets):
@@ -96,13 +98,12 @@ def taped_block(block, case, h, rec, zkey, targets):
     return out.data, extras, records, grads
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_fused_record_matches_op_chain_bitwise(name):
+def assert_fused_matches_op_chain(name, b, t):
     fused, reference, case = CASES[name]
     rec, zkey = block_params(np.float32)
     rng = np.random.default_rng(1)
-    h = parameter(rng.normal(size=(B, T, D)), dtype=np.float32)
-    targets = rng.integers(0, D, size=B * T)
+    h = parameter(rng.normal(size=(b, t, D)), dtype=np.float32)
+    targets = rng.integers(0, D, size=b * t)
     got = taped_block(fused, case, h, rec, zkey, targets)
     want = taped_block(reference, case, h, rec, zkey, targets)
     np.testing.assert_array_equal(got[0], want[0])
@@ -119,6 +120,20 @@ def test_fused_record_matches_op_chain_bitwise(name):
             np.testing.assert_array_equal(g, want[3][key], err_msg=key)
     assert got[3]["h"] is not None
     assert (got[3]["zkey"] is not None) == (name == "attention-zero-key")
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_fused_record_matches_op_chain_bitwise(name):
+    assert_fused_matches_op_chain(name, B, T)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_fused_record_matches_op_chain_across_ffn_chunks(name):
+    # 150 rows: two full FFN chunks and a partial one, so the GELU and its
+    # gradient cross chunk seams.
+    b, t = 3, 50
+    assert b * t > FFN_CHUNK_ROWS and (b * t) % FFN_CHUNK_ROWS
+    assert_fused_matches_op_chain(name, b, t)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -299,6 +314,28 @@ def test_cached_attention_several_queries_past_start_match_the_batch_block(zero_
     if zero_key:
         got_z = np.concatenate([head_z, tail_z], axis=-1)
         np.testing.assert_allclose(got_z, want_z, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_cached_attention_refuses_to_record(start):
+    # The rule rebuilds keys and values for a cache-free call at start 0, so
+    # a cached call must not reach the tape; without a tape it runs.
+    rec, zkey = block_params(np.float32)
+    h = parameter(np.random.default_rng(10).normal(size=(1, 2, D)), dtype=np.float32)
+    rows = (np.zeros((1, 6, D), np.float32), np.zeros((1, 6, D), np.float32))
+    with Tape() as tape:
+        with pytest.raises(UsageError, match="cached attention call cannot record"):
+            attention_with_zero_token(h, rec, zkey, HEADS, cache=rows, start=start)
+    assert len(tape) == 0
+    out, _, _ = attention_with_zero_token(h, rec, zkey, HEADS, cache=rows, start=start)
+    assert out.shape == (1, 2, D) and not out.grad_needed
+
+
+def test_attention_past_start_needs_a_cache():
+    rec, zkey = block_params(np.float32)
+    h = constant(np.zeros((1, 2, D), np.float32))
+    with pytest.raises(UsageError, match="needs a cache"):
+        attention_with_zero_token(h, rec, zkey, HEADS, start=3)
 
 
 def test_multi_exit_forward_gradients_match_op_chain_bitwise(monkeypatch):

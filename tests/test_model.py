@@ -311,6 +311,20 @@ def test_zero_attention_invariant_to_batch_permutation():
         assert math.isclose(ra.zero_attn, rb.zero_attn, abs_tol=1e-6)
 
 
+def closed_form_param_count(cfg):
+    """Parameter total written out from the architecture, independent of
+    `init_parameters` and `param_count`: embeddings (plus an untied head),
+    per weight record 4d^2 + 2*d*d_ff + d_ff + 5d (+ d + 1 with the gate),
+    one d-vector per zero-token key and the final norm's 2d."""
+    d, dff = cfg.d_model, cfg.d_ff
+    cycled = len(cfg.cycled_layers)
+    records = cfg.all_layers - cycled + 1 if cfg.share_middle else cfg.all_layers
+    per_record = 4 * d * d + 2 * d * dff + dff + 5 * d + ((d + 1) if cfg.use_gate else 0)
+    pool = cycled * cfg.loop_count * d if cfg.use_zero_token else 0
+    head = 0 if cfg.tie_embeddings else cfg.vocab * d
+    return cfg.vocab * d + cfg.t_max * d + head + records * per_record + pool + 2 * d
+
+
 def test_param_count_matches_actual_arrays():
     for cfg in (
         tiny("V", l=4, n=1),
@@ -323,6 +337,7 @@ def test_param_count_matches_actual_arrays():
         params = init_parameters(cfg, seed=0)
         actual = sum(t.data.size for t in params.named().values())
         assert param_count(cfg)["total"] == actual, cfg.variant
+        assert closed_form_param_count(cfg) == actual, cfg.variant
 
 
 def test_canonical_param_count_is_pinned():
@@ -335,6 +350,7 @@ def test_canonical_param_count_is_pinned():
             "zero_token_pool": 768, "final_norm": 256,
         },
     }
+    assert closed_form_param_count(cfg) == 833_924
 
 
 def test_share_middle_aliases_one_record():

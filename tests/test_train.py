@@ -264,15 +264,15 @@ def test_tape_holds_no_more_than_the_op_outputs(monkeypatch):
 
 
 def test_block_records_hold_less_than_the_op_chain(monkeypatch):
-    # A fused block record drops the layer norm outputs, the GELU output and
-    # tanh term and the head-merged attention mix, which its rule rebuilds
-    # (0.56x of the op-by-op tape at this size).
+    # A fused block record drops the layer norm outputs, the queries, keys
+    # and values, the head-merged attention mix and the GELU output and tanh
+    # term, which its rule rebuilds (0.44x of the op-by-op tape at this size).
     cfg = tiny_config(**_MEMORY_CONFIG)
     params, ids, targets = _model_batch(cfg)
     fused, _ = _held_after_taped_forward(cfg, params, ids, targets, monkeypatch)
     use_reference_blocks(monkeypatch)
     per_op, _ = _held_after_taped_forward(cfg, params, ids, targets, monkeypatch)
-    assert fused <= 0.6 * per_op, (fused, per_op)
+    assert fused <= 0.48 * per_op, (fused, per_op)
 
 
 # ---------------------------------------------------------------------------
