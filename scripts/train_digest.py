@@ -23,7 +23,8 @@ heap layout the process started with.
 Last it fingerprints the no-tape paths on the benchmark's fixed checkpoint
 (perfbench/fixed; paths from perfbench/common.py). `eval sha256` covers the
 `evaluate` reports at exit thresholds 0.5, 1.0 and none over the committed
-validation tail, batch 8.
+validation tail, batch 8. `eval adaptive 0.5` prints that report's adaptive
+NLL and avg_loop, so a moved eval hash says by how much.
 `decode sha256` covers greedy `generate` at threshold 0.5 and at full depth
 on the first 8 pool prompts, each filled to t_max: the ids, the cycles
 used, every `decode_step`'s logits and the final `DecodeCache.depth`.
@@ -71,12 +72,14 @@ def digest(params, optimizer) -> str:
     return h.hexdigest()
 
 
-def eval_digest(evaluate, adaptive, params, cfg, valid) -> str:
+def eval_digest(evaluate, adaptive, params, cfg, valid):
+    """The sha256 over every report, and the first threshold's adaptive report."""
     h = hashlib.sha256()
+    reports = []
     for threshold in EVAL_THRESHOLDS:
-        report = evaluate.evaluate(params, cfg, valid, adaptive.ExitPolicy(threshold), batch=8)
-        h.update(repr(report).encode())  # repr round-trips every float
-    return h.hexdigest()
+        reports.append(evaluate.evaluate(params, cfg, valid, adaptive.ExitPolicy(threshold), batch=8))
+        h.update(repr(reports[-1]).encode())  # repr round-trips every float
+    return h.hexdigest(), reports[0].adaptive
 
 
 def decode_digest(adaptive, params, cfg, valid, pool) -> str:
@@ -187,7 +190,9 @@ def main(argv=None) -> int:
     valid = data.ByteVocabulary().encode(common.VALID_PATH.read_bytes())
     meta = json.loads(common.META_PATH.read_text())
     params, cfg = loaded.params, loaded.config
-    print(f"eval sha256: {eval_digest(evaluate, adaptive, params, cfg, valid)}")
+    eval_hash, ada = eval_digest(evaluate, adaptive, params, cfg, valid)
+    print(f"eval sha256: {eval_hash}")
+    print(f"eval adaptive {ada.threshold:g}: nll {ada.loss:.6f}, avg_loop {ada.avg_loop:.4f}")
     print(f"decode sha256: {decode_digest(adaptive, params, cfg, valid, meta['prompt_pool'])}")
     print(f"decode max err: {decode_error(adaptive, model, params, cfg, valid, meta):.3e}")
     return 0

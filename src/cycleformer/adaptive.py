@@ -2,7 +2,7 @@
 
 Each generated position runs the schedule's head, then its cycles one at a
 time; after cycle n the position's own zero-slot attention (averaged over
-heads, then aggregated over the cycle's applications) is compared with the
+heads, then over the cycle's applications) is compared with the
 policy threshold, and the first cycle that reaches it triggers an exit
 through the shared tail. Per-slot K/V caches are positionally indexed
 (after row 0, the zero token's, where the application has one);
@@ -33,6 +33,7 @@ from .model import (
     build_schedule,
     embed,
     gated_ffn,
+    token_ids,
 )
 from .telemetry import aggregate
 from .data import BOS_ID
@@ -41,15 +42,13 @@ from .data import BOS_ID
 @dataclass(frozen=True)
 class ExitPolicy:
     """threshold None: fixed full depth. Otherwise exit at the first cycle
-    whose aggregated zero-attention is >= threshold (never, if none reaches
-    it; softmax means stay strictly below 1, so threshold 1 means full depth)."""
+    whose zero-attention, averaged over its applications, is >= threshold
+    (never, if none reaches it; softmax means stay strictly below 1, so
+    threshold 1 means full depth)."""
 
     threshold: float | None = None
-    aggregation: str = "mean"
 
     def __post_init__(self):
-        if self.aggregation not in ("mean", "last"):
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         if self.threshold is not None and not self.threshold >= 0:  # NaN too
             raise ConfigError(f"exit threshold must be >= 0, got {self.threshold}")
 
@@ -133,7 +132,7 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
     Walks the schedule's head, its cycles and its tail, as `forward` does.
     Before cycle n the earlier positions are deepened to n finished cycles.
     With an adaptive policy the position exits after the first cycle whose
-    aggregated zero-attention reaches the threshold; fixed policies run
+    mean zero-attention reaches the threshold; fixed policies run
     every cycle.
     """
     policy = policy or ExitPolicy()
@@ -157,7 +156,7 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
             zvals.append(zmean)
         cache.h_mid[t] = h
         cache.depth[t] = n
-        if policy.adaptive and aggregate(zvals, policy.aggregation) >= policy.threshold:
+        if policy.adaptive and aggregate(zvals) >= policy.threshold:
             used = n
             break
     for s in schedule.post:
@@ -194,9 +193,8 @@ def generate(
     if not temperature >= 0.0:  # NaN too
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
     policy = policy or ExitPolicy()
-    prompt = [int(i) for i in np.asarray(prompt_ids, dtype=np.int64).reshape(-1)]
-    if not prompt:
-        prompt = [BOS_ID]
+    prompt = np.asarray(prompt_ids).reshape(-1)
+    prompt = [int(i) for i in token_ids(prompt)] if prompt.size else [BOS_ID]
     total = len(prompt) + max_new_tokens
     if total > config.t_max:
         raise UsageError(

@@ -41,7 +41,6 @@ def _policy_args(p: argparse.ArgumentParser) -> None:
         help="zero-attention exit threshold, or 'none' for fixed full depth; "
         "omitted: the checkpoint's exit_threshold",
     )
-    p.add_argument("--aggregation", choices=("mean", "last"), default="mean")
 
 
 def _policy(args, rc: RunConfig) -> ExitPolicy:
@@ -49,7 +48,7 @@ def _policy(args, rc: RunConfig) -> ExitPolicy:
     threshold = rc.exit_threshold
     if args.threshold is not None:
         threshold = parse_value("exit_threshold", args.threshold, label="--threshold")
-    return ExitPolicy(threshold=threshold, aggregation=args.aggregation)
+    return ExitPolicy(threshold=threshold)
 
 
 def _seed(text: str) -> int:
@@ -178,10 +177,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     loaded = load_model(args.ckpt)
     ids = load_corpus(args.data)
-    policy = _policy(args, loaded.rc)
     report = evaluate(
         loaded.params, loaded.config, ids,
-        policy=policy, batch=args.batch, max_batches=args.max_batches,
+        policy=_policy(args, loaded.rc), batch=args.batch, max_batches=args.max_batches,
     )
     shown = report.exits if args.per_exit else report.exits[-1:]
     for e in shown:
@@ -189,7 +187,7 @@ def cmd_eval(args) -> int:
     if report.adaptive is not None:
         a = report.adaptive
         print(
-            f"adaptive (threshold {a.threshold:g}, {policy.aggregation}): "
+            f"adaptive (threshold {a.threshold:g}, mean): "
             f"loss {a.loss:.4f}  ppl {a.ppl:.2f}  avg_loop {a.avg_loop:.3f}"
         )
         print(_exit_histogram(a.exit_counts))

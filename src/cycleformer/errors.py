@@ -48,3 +48,4 @@ class TrainingDiverged(CycleformerError, RuntimeError):
         super().__init__(message)
         self.step = step
         self.loss = loss
+        self.param = param

@@ -2,18 +2,10 @@
 
 Evaluation reads logits from one batched forward per window group and does
 all scoring in float64 numpy, so a report is a pure function of (weights,
-data, policy). The adaptive report selects an exit per position from the
-same zero-attention traces the incremental decoder sees (the cache tests
-establish the two views agree), so threshold 1 reproduces the final-exit
-numbers exactly, token for token.
-
-The adaptive loss is not decode's loss, though. It scores a position that
-exits after cycle n with the batch exit-n logits, whose tail attends to
-every position's cycle-n state; decode's tail reads each earlier position's
-own exit-state row. On the benchmark's fixed checkpoint, first validation
-window, threshold 0.5, both pick the same exit per position (13/18/33 over
-cycles 1/2/3) but score 0.9993 vs 0.9974 nat/tok, with logits up to 0.21
-apart.
+data, policy). The adaptive report scores `forward`'s adaptive logits: each
+position exits where incremental decode would and is scored with the logits
+decode would emit, so threshold 1 reproduces the final-exit numbers exactly,
+token for token.
 """
 from __future__ import annotations
 
@@ -26,7 +18,6 @@ from .config import RunConfig, model_config
 from .data import check_ids_fit
 from .errors import ConfigError, DataError
 from .model import ModelConfig, ModelParameters, forward, param_count
-from .telemetry import CycleTelemetry, aggregate
 from .train import plan_from_run, train
 
 
@@ -83,12 +74,6 @@ def _nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - picked
 
 
-def _position_traces(telemetry: CycleTelemetry, aggregation: str) -> np.ndarray:
-    """(B, T, N) zero-attention aggregate per position and cycle."""
-    per_cycle = telemetry.values_by_cycle("zero_attn_pos").values()
-    return np.stack([aggregate(apps, aggregation) for apps in per_cycle], axis=-1)
-
-
 def evaluate(
     params: ModelParameters,
     config: ModelConfig,
@@ -101,11 +86,6 @@ def evaluate(
     if batch < 1 or (max_batches is not None and max_batches < 1):
         raise ConfigError(f"batch and max_batches must be >= 1, got {batch} and {max_batches}")
     policy = policy or ExitPolicy()
-    adaptive = policy.adaptive
-    if adaptive and not config.supports_adaptive_exit:
-        raise ConfigError(
-            "adaptive evaluation needs zero-token attention on a head-tail cycled variant"
-        )
     t = config.t_max
     ids = np.asarray(ids, dtype=np.int64)
     check_ids_fit(ids, config.vocab, "data")
@@ -126,7 +106,7 @@ def evaluate(
         windows = range(start, min(start + batch, n_win))
         inputs = np.stack([ids[w * t : w * t + t] for w in windows])
         targets = np.stack([ids[w * t + 1 : w * t + t + 1] for w in windows])
-        res = forward(inputs, params, config, capture_exits=True)
+        res = forward(inputs, params, config, capture_exits=True, exit_threshold=policy.threshold)
         toks = targets.size
         per_exit = np.stack([_nll(e.data, targets) for e in res.exit_logits])
         nll_sum += per_exit.sum(axis=(1, 2))
@@ -134,14 +114,9 @@ def evaluate(
             zattn_sum[cycle] = zattn_sum.get(cycle, 0.0) + z * toks
         for cycle, g in res.telemetry.gate_by_cycle().items():
             gate_sum[cycle] = gate_sum.get(cycle, 0.0) + g * toks
-        if adaptive:
-            traces = _position_traces(res.telemetry, policy.aggregation)
-            n = config.loop_count
-            # first cycle at or past threshold; 0-based exit index, full depth if none
-            crossed = traces >= policy.threshold
-            chosen = np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), n - 1)
-            ada_sum += per_exit[chosen, np.arange(inputs.shape[0])[:, None], np.arange(t)].sum()
-            exit_counts += np.bincount(chosen.ravel(), minlength=n)
+        if policy.adaptive:
+            ada_sum += _nll(res.adaptive_logits.data, targets).sum()
+            exit_counts += np.bincount(res.exit_cycle.ravel() - 1, minlength=config.loop_count)
         n_tok += toks
         n_batches += 1
     exits = [
@@ -157,7 +132,7 @@ def evaluate(
         for c in cycles
     ]
     ada = None
-    if adaptive:
+    if policy.adaptive:
         loops = int(exit_counts @ np.arange(1, config.loop_count + 1))
         ada = AdaptiveEval(
             policy.threshold, ada_sum / n_tok, _ppl(ada_sum / n_tok), loops / n_tok,

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import check_ids_fit
 from .errors import ConfigError, ShapeError, UsageError
-from .telemetry import CycleTelemetry
+from .telemetry import CycleTelemetry, aggregate
 
 VARIANTS = ("V", "BC", "HTC", "ZTT")
 
@@ -500,14 +500,26 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
 @dataclass
 class ForwardResult:
     """exit_logits[-1] is always the full-depth output; earlier entries exist
-    only when capture_exits was set and the variant has intermediate cycles."""
+    only when capture_exits was set and the variant has intermediate cycles.
+    adaptive_logits and exit_cycle (1-based) exist only when forward was
+    given an exit threshold."""
 
     exit_logits: list[Tensor]
     telemetry: CycleTelemetry
+    adaptive_logits: Tensor | None = None
+    exit_cycle: np.ndarray | None = None
 
     @property
     def logits(self) -> Tensor:
         return self.exit_logits[-1]
+
+
+def token_ids(ids) -> np.ndarray:
+    """`ids` as an array; ShapeError unless its dtype is an integer one."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError(f"token ids must be integers, got {ids.dtype}")
+    return ids
 
 
 def embed(ids: np.ndarray, params: ModelParameters, start: int = 0) -> Tensor:
@@ -516,9 +528,7 @@ def embed(ids: np.ndarray, params: ModelParameters, start: int = 0) -> Tensor:
     One tape record covers both. Backward scatter-adds into the token table,
     as `ad.embedding` does, and writes the batch sum into the position rows.
     """
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError(f"token ids must be integers, got {ids.dtype}")
+    ids = token_ids(ids)
     tok, pos = params.tok_emb, params.pos_emb
     check_ids_fit(ids, tok.shape[0], "input")
     dtype = ad._same_dtype(tok, pos)
@@ -570,6 +580,7 @@ def forward(
     params: ModelParameters,
     config: ModelConfig,
     capture_exits: bool = False,
+    exit_threshold: float | None = None,
 ) -> ForwardResult:
     """Run the cycled stack on token ids of shape (T,) or (B, T).
 
@@ -578,7 +589,18 @@ def forward(
     cycle but the last also feeds a branch copy of the stream through the
     shared tail and the shared final norm + LM head; the main stream
     continues through every remaining cycle either way.
+
+    With exit_threshold, a position exits after the first cycle whose
+    halting signal (the slot-0 attention weight, averaged over heads, then
+    over the cycle's applications) reaches it, else after the last cycle.
+    Each position's state at its exit then runs through the tail and LM
+    head once more, together: `adaptive_logits` is what incremental decode
+    emits for that position, and `exit_cycle` its exit. The gather is not
+    recorded, so no gradient reaches the stream through `adaptive_logits`.
+    It needs a model whose `supports_adaptive_exit` holds.
     """
+    if exit_threshold is not None and not config.supports_adaptive_exit:
+        raise ConfigError("adaptive exit needs zero-token attention on a head-tail cycled variant")
     ids = np.asarray(ids)
     squeeze = ids.ndim == 1
     if squeeze:
@@ -595,7 +617,7 @@ def forward(
     telemetry = CycleTelemetry()
     exits: list[Tensor] = []
 
-    def apply(h: Tensor, idx: int, record: bool = False) -> Tensor:
+    def apply(h: Tensor, idx: int, record: bool = False) -> tuple[Tensor, np.ndarray | None]:
         layer, cycle = schedule.applications[idx]
         rec = params.record(layer)
         zkey = params.pool.get((layer, cycle))
@@ -607,26 +629,40 @@ def forward(
                 cycle,
                 float(zattn.mean()) if zattn is not None else None,
                 float(gate_np.mean()) if gate_np is not None else None,
-                zattn.mean(axis=1) if zattn is not None else None,
             )
-        return h
+        return h, zattn
 
     def finish(h: Tensor) -> Tensor:
         for idx in schedule.post:
-            h = apply(h, idx)
+            h, _ = apply(h, idx)
         return _lm_logits(h, params)
 
     for idx in schedule.pre:
-        h = apply(h, idx)
+        h, _ = apply(h, idx)
+    last = len(schedule.by_cycle)
+    exit_at = h_exit = None
+    if exit_threshold is not None:
+        exit_at = np.zeros((b, t), dtype=np.int64)  # 0: not exited yet
     for n, cycle_apps in schedule.by_cycle.items():
+        signals = []
         for idx in cycle_apps:
-            h = apply(h, idx, record=True)
-        if capture_exits and n < len(schedule.by_cycle):
+            h, zattn = apply(h, idx, record=True)
+            signals.append(zattn)
+        if capture_exits and n < last:
             exits.append(finish(h))
+        if exit_at is not None:
+            exiting = exit_at == 0
+            if n < last:
+                exiting &= aggregate([z.mean(axis=1) for z in signals]) >= exit_threshold
+            exit_at[exiting] = n
+            h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
     exits.append(finish(h))
+    adaptive = None if h_exit is None else finish(Tensor(h_exit))
     if squeeze:
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
-    return ForwardResult(exits, telemetry)
+        if adaptive is not None:
+            adaptive, exit_at = ad.reshape(adaptive, (t, config.vocab)), exit_at[0]
+    return ForwardResult(exits, telemetry, adaptive, exit_at)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 
-
-def aggregate(values, aggregation: str = "mean"):
-    """A cycle's halting signal from its applications' values, in order:
-    "mean" averages them, "last" takes the one applied last (the ablation)."""
-    return values[-1] if aggregation == "last" else sum(values) / len(values)
+def aggregate(values):
+    """A cycle's value from its applications' values: their mean."""
+    return sum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -17,31 +14,22 @@ class CycleRecord:
     """One cycled application: which layer, which cycle, what it measured.
 
     zero_attn is the slot-0 attention weight averaged over batch, heads and
-    query positions, and zero_attn_pos the same weight averaged over heads
-    only, shape (B, T); both are None when the variant has no zero token.
-    gate is the mean FFN gate (None when gating is off).
+    query positions (None when the variant has no zero token). gate is the
+    mean FFN gate (None when gating is off).
     """
 
     layer: int
     cycle: int
     zero_attn: float | None
     gate: float | None
-    zero_attn_pos: np.ndarray | None = None
 
 
 @dataclass
 class CycleTelemetry:
     records: list[CycleRecord] = field(default_factory=list)
 
-    def add(
-        self,
-        layer: int,
-        cycle: int,
-        zero_attn: float | None,
-        gate: float | None,
-        zero_attn_pos: np.ndarray | None = None,
-    ) -> None:
-        self.records.append(CycleRecord(layer, cycle, zero_attn, gate, zero_attn_pos))
+    def add(self, layer: int, cycle: int, zero_attn: float | None, gate: float | None) -> None:
+        self.records.append(CycleRecord(layer, cycle, zero_attn, gate))
 
     def values_by_cycle(self, name: str) -> dict[int, list]:
         """Each cycle's non-None values of one record field, in record order."""

@@ -2,11 +2,8 @@
 
 The cache invariant under test: because positions are deepened lazily in
 position order, every middle-cycle K/V entry equals the value a full batch
-forward would produce, so per-position exit traces and the hidden states
-entering the tail can be read off one batch pass that steps the schedule
-application by application. The tail is the one heterogeneous part (each
-position's entry comes from its own exit depth), so the oracle recomputes it
-by hand per position.
+forward would produce, so a batch pass plus a per-position tail
+(`exit_oracle.batch_oracle`) predicts every decode step.
 """
 import json
 import math
@@ -27,11 +24,11 @@ from cycleformer.adaptive import (
 from cycleformer.autodiff import softmax_np
 from cycleformer.checkpoint import load_model
 from cycleformer.data import BOS_ID, ByteVocabulary
-from cycleformer.errors import ConfigError, UsageError
-from cycleformer.model import ModelConfig, build_schedule, forward, init_parameters
+from cycleformer.errors import ConfigError, ShapeError, UsageError
+from cycleformer.evaluate import evaluate
+from cycleformer.model import ModelConfig, forward, init_parameters
 
-from oracle_kernels import gelu_np, layer_norm_np
-from stepper import step_applications
+from exit_oracle import batch_oracle, pick_mixed_threshold
 
 PINNED_TRACE = [0.21, 0.47, 0.54, 0.65]
 
@@ -81,8 +78,6 @@ def test_fixed_policy_never_exits():
 
 
 def test_policy_validation():
-    with pytest.raises(ConfigError):
-        ExitPolicy(threshold=0.5, aggregation="median")
     for bad in (-0.1, math.nan):
         with pytest.raises(ConfigError):
             ExitPolicy(threshold=bad)
@@ -160,6 +155,34 @@ def test_full_decode_matches_forward_on_fixed_checkpoint():
     assert float(np.abs(got - want).max()) <= 1e-5
 
 
+@pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+def test_adaptive_forward_and_evaluate_score_what_decode_emits(threshold):
+    # Teacher-forced adaptive decode over the first two validation windows of
+    # the committed float32 checkpoint: every threshold splits the positions
+    # over all three cycles. Measured at these thresholds: decode's logits sit
+    # at most 3.15e-5 from forward's adaptive logits (the same maximum over
+    # the first 8 windows) and the two mean NLLs at most 2.0e-7 apart; the
+    # gates below hold about 3x and 5x that.
+    loaded = load_model(str(FIXED / "ztt_canonical.ckpt"))
+    cfg, params = loaded.config, loaded.params
+    valid = ByteVocabulary().encode((FIXED / "ztt_canonical_valid.bin").read_bytes())
+    t = cfg.t_max
+    ids = valid[: 2 * t + 1]
+    windows, targets = ids[:-1].reshape(2, t), ids[1:].reshape(2, t)
+    res = forward(windows, params, cfg, exit_threshold=threshold)
+    policy = ExitPolicy(threshold=threshold)
+    decoded = [decode_logits(params, cfg, w, policy) for w in windows]
+    for (logits, cache), want_cycles, want in zip(decoded, res.exit_cycle, res.adaptive_logits.data):
+        assert cache.cycles_used == want_cycles.tolist()
+        assert float(np.abs(logits - want).max()) <= 1e-4
+    assert len(set(res.exit_cycle.ravel().tolist())) == cfg.loop_count
+
+    logp = [np.log(softmax_np(lg.astype(np.float64), axis=-1)) for lg, _ in decoded]
+    decode_nll = -np.mean([np.take_along_axis(lp, tg[:, None], -1) for lp, tg in zip(logp, targets)])
+    report = evaluate(params, cfg, ids, policy)
+    assert report.adaptive.loss == pytest.approx(decode_nll, abs=1e-6)
+
+
 def test_decode_rejects_overfull_context():
     cfg, params = make_model(t_max=4)
     cache = DecodeCache(params, cfg)
@@ -181,69 +204,16 @@ def test_adaptive_needs_zero_token_head_tail(variant, l, n):
 # adaptive decode against the batch oracle
 
 
-def batch_oracle(params, cfg, ids, threshold, aggregation="mean"):
-    """Per-position exit depths and logits, derived from one batch pass."""
-    steps = step_applications(ids, params, cfg)
-    by_cycle = build_schedule(cfg).by_cycle
-    t = len(ids)
-    n = cfg.loop_count
-
-    traces = []
-    for pos in range(t):
-        trace = []
-        for c in range(1, n + 1):
-            per_app = [steps[i].weights[0, :, pos, 0].mean() for i in by_cycle[c]]
-            trace.append(per_app[-1] if aggregation == "last" else float(np.mean(per_app)))
-        traces.append(trace)
-    depths = [exit_cycle(tr, threshold) or n for tr in traces]
-
-    # hidden state entering the tail = batch hidden right after the exit cycle,
-    # i.e. the input of the application that follows that cycle's last app
-    tail_in = np.stack(
-        [steps[by_cycle[d][-1] + 1].h_in[0, pos] for pos, d in zip(range(t), depths)]
-    )
-
-    rec = params.record(cfg.all_layers)
-    nh, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
-    x = layer_norm_np(tail_in, rec.ln1_g.data, rec.ln1_b.data)
-    k = (x @ rec.wk.data).reshape(t, nh, hd)
-    v = (x @ rec.wv.data).reshape(t, nh, hd)
-    q = (x @ rec.wq.data).reshape(t, nh, hd)
-    out = np.zeros_like(tail_in)
-    for pos in range(t):
-        mix = np.zeros((nh, hd))
-        for head in range(nh):
-            s = k[: pos + 1, head] @ q[pos, head] / math.sqrt(hd)
-            w = softmax_np(s, axis=-1)
-            mix[head] = w @ v[: pos + 1, head]
-        out[pos] = tail_in[pos] + mix.reshape(-1) @ rec.wo.data
-    x2 = layer_norm_np(out, rec.ln2_g.data, rec.ln2_b.data)
-    f = gelu_np(x2 @ rec.w1.data + rec.b1.data) @ rec.w2.data + rec.b2.data
-    if cfg.use_gate:
-        f = f * (1.0 / (1.0 + np.exp(-(x2 @ rec.gate_w.data + rec.gate_b.data))))
-    out = out + f
-    logits = layer_norm_np(out, params.final_g.data, params.final_b.data) @ params.head_weight().data.T
-    return depths, logits, traces
-
-
-def pick_mixed_threshold(traces):
-    """A threshold strictly between observed aggregates, so exit decisions are
-    robust to last-ulp differences and the depths come out heterogeneous."""
-    first = sorted(tr[0] for tr in traces)
-    return (first[0] + first[-1]) / 2.0
-
-
-@pytest.mark.parametrize("aggregation", ["mean", "last"])
-def test_adaptive_decode_matches_batch_oracle(aggregation):
+def test_adaptive_decode_matches_batch_oracle():
     cfg, params = make_model("ZTT", 4, 3, seed=3)
     rng = np.random.default_rng(5)
     ids = rng.integers(0, cfg.vocab, size=12)
-    _, _, traces = batch_oracle(params, cfg, ids, threshold=2.0, aggregation=aggregation)
+    _, _, traces = batch_oracle(params, cfg, ids, threshold=2.0)
     thr = pick_mixed_threshold(traces)
-    depths, want_logits, _ = batch_oracle(params, cfg, ids, thr, aggregation)
+    depths, want_logits, _ = batch_oracle(params, cfg, ids, thr)
     assert len(set(depths)) >= 2  # exercises suspend + lazy deepening
 
-    policy = ExitPolicy(threshold=thr, aggregation=aggregation)
+    policy = ExitPolicy(threshold=thr)
     got, cache = decode_logits(params, cfg, ids, policy)
     assert cache.cycles_used == depths
     np.testing.assert_allclose(got, want_logits, rtol=1e-9, atol=1e-9)
@@ -348,6 +318,13 @@ def test_generate_at_a_tiny_temperature_samples_the_argmax():
     greedy = generate(params, cfg, [1, 2], 5)
     tiny = generate(params, cfg, [1, 2], 5, temperature=1e-320, seed=17)
     np.testing.assert_array_equal(tiny.ids, greedy.ids)
+
+
+def test_generate_rejects_non_integer_prompt_ids():
+    # as forward and decode_step do: a float prompt is not silently truncated
+    cfg, params = make_model()
+    with pytest.raises(ShapeError):
+        generate(params, cfg, [1.7, 2.2], 2)
 
 
 def test_generate_respects_capacity():

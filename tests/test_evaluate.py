@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleformer.adaptive import ExitPolicy, exit_cycle
+from cycleformer.adaptive import ExitPolicy
+from cycleformer.autodiff import softmax_np
 from cycleformer.config import RunConfig
 from cycleformer.errors import ConfigError, DataError
 from cycleformer.evaluate import (
@@ -16,9 +17,9 @@ from cycleformer.evaluate import (
     evaluate,
     format_sweep,
 )
-from cycleformer.model import ModelConfig, build_schedule, forward, init_parameters
+from cycleformer.model import ModelConfig, init_parameters
 
-from stepper import step_applications
+from exit_oracle import batch_oracle
 
 
 def make_model(variant="ZTT", l=4, n=3, vocab=59, t_max=8, seed=0, dtype=np.float64, **kw):
@@ -135,33 +136,22 @@ def test_threshold_zero_exits_first_cycle():
     assert report.adaptive.loss == report.exits[0].loss
 
 
-@pytest.mark.parametrize("aggregation", ["mean", "last"])
-def test_adaptive_matches_per_position_oracle(aggregation):
+def test_adaptive_matches_per_position_oracle():
+    # Each position is scored with the logits decode emits: the tail over
+    # every position's own exit state (the plain-numpy batch oracle).
     cfg, params = make_model(seed=3)
     ids = corpus(cfg.t_max * 2 + 1, seed=5)  # two windows, one batch
     thr = 0.3
 
-    inputs = np.stack([ids[: cfg.t_max], ids[cfg.t_max : 2 * cfg.t_max]])
-    res = forward(inputs, params, cfg, capture_exits=True)
-    steps = step_applications(inputs, params, cfg)
-    targets = np.stack([ids[1 : cfg.t_max + 1], ids[cfg.t_max + 1 : 2 * cfg.t_max + 1]])
-    by_cycle = build_schedule(cfg).by_cycle
-
     want_nll, want_loops = [], []
-    for b in range(2):
-        for pos in range(cfg.t_max):
-            trace = []
-            for c in range(1, cfg.loop_count + 1):
-                per_app = [steps[i].weights[b, :, pos, 0].mean() for i in by_cycle[c]]
-                trace.append(float(per_app[-1] if aggregation == "last" else np.mean(per_app)))
-            n_exit = exit_cycle(trace, thr) or cfg.loop_count
-            want_loops.append(n_exit)
-            logits = res.exit_logits[n_exit - 1].data[b, pos].astype(np.float64)
-            logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
-            want_nll.append(-logp[targets[b, pos]])
+    for w in range(2):
+        window = ids[w * cfg.t_max : (w + 1) * cfg.t_max + 1]
+        depths, logits, _ = batch_oracle(params, cfg, window[:-1], thr)
+        want_loops += depths
+        logp = np.log(softmax_np(logits, axis=-1))
+        want_nll += (-logp[np.arange(cfg.t_max), window[1:]]).tolist()
 
-    policy = ExitPolicy(threshold=thr, aggregation=aggregation)
-    report = evaluate(params, cfg, ids[: 2 * cfg.t_max + 1], policy=policy)
+    report = evaluate(params, cfg, ids, policy=ExitPolicy(threshold=thr))
     assert report.adaptive.avg_loop == pytest.approx(np.mean(want_loops), abs=1e-12)
     assert report.adaptive.exit_counts == tuple(
         want_loops.count(c) for c in range(1, cfg.loop_count + 1)

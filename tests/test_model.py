@@ -257,6 +257,24 @@ def test_forward_without_capture_still_returns_final():
     assert len(res.exit_logits) == 1
 
 
+def test_adaptive_exit_extremes_are_the_fixed_exits_bitwise():
+    # Threshold 0 exits every position after cycle 1 and threshold 1 none
+    # before the last, so the gathered tail runs on that exit's own state.
+    cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
+    params = init_parameters(cfg, seed=24, dtype=np.float32)
+    ids = np.random.default_rng(25).integers(0, cfg.vocab, size=(2, 6))
+    for threshold, cycle in ((0.0, 1), (1.0, cfg.loop_count)):
+        res = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
+        np.testing.assert_array_equal(res.adaptive_logits.data, res.exit_logits[cycle - 1].data)
+        np.testing.assert_array_equal(res.exit_cycle, np.full(ids.shape, cycle))
+    single = forward(ids[0], params, cfg, exit_threshold=0.5)
+    assert single.adaptive_logits.shape == (6, cfg.vocab) and single.exit_cycle.shape == (6,)
+    assert forward(ids, params, cfg).adaptive_logits is None
+    htc = tiny("HTC", l=4, n=3)
+    with pytest.raises(ConfigError, match="adaptive exit"):
+        forward(np.arange(4), random_params(htc), htc, exit_threshold=0.5)
+
+
 def test_forward_rejects_long_and_bad_inputs():
     cfg = tiny("ZTT", t_max=4)
     params = random_params(cfg, seed=20)

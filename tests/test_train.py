@@ -388,6 +388,7 @@ def test_nan_loss_aborts_with_step():
     with pytest.raises(TrainingDiverged) as exc:
         train(cfg, plan, tiny_corpus(), params=params)
     assert exc.value.step == 0
+    assert exc.value.param is None
 
 
 def test_exit_logits_are_freed_before_backward(monkeypatch):
@@ -430,6 +431,7 @@ def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
         train(cfg, plan, tiny_corpus(), params=params, optimizer=optimizer)
     assert exc.value.step == 0
     assert math.isfinite(exc.value.loss)
+    assert exc.value.param == "layer1.ffn.w1"
     assert optimizer.t == 0
     for name, t in params.named().items():
         np.testing.assert_array_equal(t.data, before[name], err_msg=name)
