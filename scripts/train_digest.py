@@ -18,7 +18,9 @@ allocations, and then the peak RSS. Then one extra forward, on step 60's
 batch, under tracemalloc: the MB the tape holds once the forward returns,
 and the traced peak through its backward. These count only Python's and
 numpy's allocations, so unlike faults and RSS they do not depend on the
-heap layout the process started with.
+heap layout the process started with. It then splits the tape's MB by
+record kind (embedding, attention, FFN, LM head, and the loss's records):
+the arrays each rule binds, parameters left out, each array counted once.
 
 Last it fingerprints the no-tape paths on the benchmark's fixed checkpoint
 (perfbench/fixed; paths from perfbench/common.py). `eval sha256` covers the
@@ -43,6 +45,7 @@ import os
 import resource
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -126,10 +129,47 @@ def decode_error(adaptive, model, params, cfg, valid, meta) -> float:
     return err
 
 
-def tape_memory(ad, model, train, data, cfg, plan, params, ids, step) -> tuple[float, float]:
-    """MB held once one training forward has returned, and MB at the peak of
-    its backward, both as traced by tracemalloc from just before the forward.
-    The gradients start unset, as `optimizer.zero_grad` leaves them."""
+# Record kind by the function whose rule it is; every other record is the loss's.
+RECORD_KINDS = {"embed": "embedding", "attention_with_zero_token": "attention",
+                "gated_ffn": "FFN", "_lm_logits": "LM head"}
+
+
+def bound_arrays(fn):
+    """The arrays `fn` binds in its closure, and those of the functions it binds."""
+    import numpy as np
+
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, types.FunctionType):
+            yield from bound_arrays(v)
+
+
+def held_by_kind(tape, params) -> dict[str, float]:
+    """MB of the arrays the tape's rules bind, by record kind. A view counts
+    as the array it views; parameter arrays count nowhere; an array bound
+    by several records counts once, for the first."""
+    import numpy as np
+
+    seen = {id(t.data) for t in params.named().values()}
+    held = dict.fromkeys([*RECORD_KINDS.values(), "loss"], 0)
+    for _, _, rule in tape._records:
+        kind = RECORD_KINDS.get(rule.__qualname__.split(".")[0], "loss")
+        for arr in bound_arrays(rule):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            if id(arr) not in seen:
+                seen.add(id(arr))
+                held[kind] += arr.nbytes
+    return {kind: n / 2**20 for kind, n in held.items()}
+
+
+def tape_memory(ad, model, train, data, cfg, plan, params, ids, step) -> tuple[float, dict, float]:
+    """MB held once one training forward has returned, that MB by record
+    kind, and MB at the peak of its backward: all but the split as traced by
+    tracemalloc from just before the forward. The gradients start unset, as
+    `optimizer.zero_grad` leaves them."""
     for p in params.named().values():
         p.grad = None
     bp = data.BatchPlan(seq_len=cfg.t_max, batch=plan.batch, seed=plan.seed)
@@ -141,11 +181,12 @@ def tape_memory(ad, model, train, data, cfg, plan, params, ids, step) -> tuple[f
             loss, _ = train.multi_exit_loss(res.exit_logits, targets)
         del res
         held = tracemalloc.get_traced_memory()[0]
+        by_kind = held_by_kind(tape, params)
         ad.backward(tape, loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return held / 2**20, peak / 2**20
+    return held / 2**20, by_kind, peak / 2**20
 
 
 def main(argv=None) -> int:
@@ -183,8 +224,10 @@ def main(argv=None) -> int:
           f"user {(after.ru_utime - before.ru_utime) * 1e3 / n:.1f} ms, "
           f"sys {(after.ru_stime - before.ru_stime) * 1e3 / n:.1f} ms")
     print(f"peak RSS: {after.ru_maxrss / 1024:.1f} MB")
-    held, peak = tape_memory(autodiff, model, train, data, cfg, plan, params, ids, STEPS)
+    held, by_kind, peak = tape_memory(autodiff, model, train, data, cfg, plan, params, ids, STEPS)
     print(f"tape after one forward: {held:.1f} MB held, {peak:.1f} MB traced peak through backward")
+    print("tape held by record kind: "
+          + ", ".join(f"{kind} {mb:.2f} MB" for kind, mb in by_kind.items()))
 
     loaded = checkpoint.load_model(str(common.CKPT_PATH))
     valid = data.ByteVocabulary().encode(common.VALID_PATH.read_bytes())

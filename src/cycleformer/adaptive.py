@@ -105,10 +105,10 @@ def _run_slot(cache: DecodeCache, slot_idx: int, pos: int, h: np.ndarray):
     slot = cache.slots[slot_idx]
     if slot.filled < pos:
         raise UsageError(f"cache prefix incomplete at slot {slot_idx}: {slot.filled} < {pos}")
-    h_att, zattn, _ = attention_with_zero_token(
+    h_att, zattn = attention_with_zero_token(
         Tensor(h[None, None]), rec, params.pool.get((layer, cycle)), cache.config.n_heads,
         cache=(slot.k[None], slot.v[None]), start=pos,
-    )
+    )[:2]
     slot.filled = max(slot.filled, pos + 1)
     h_out, _ = gated_ffn(h_att, rec, cache.config.use_gate)
     return h_out.data[0, 0], None if zattn is None else float(zattn.mean())

@@ -66,11 +66,12 @@ def _ppl(nll: float) -> float:
 
 
 def _nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-token negative log likelihood, computed in float64."""
+    """Per-token negative log likelihood, computed in float64 in one (B, T, V)
+    buffer: shifted in place, the targets' logits picked, then exp in place."""
     x = logits.astype(np.float64)
-    x = x - x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(x).sum(axis=-1))
+    x -= x.max(axis=-1, keepdims=True)
     picked = np.take_along_axis(x, targets[..., None], axis=-1)[..., 0]
+    lse = np.log(np.exp(x, out=x).sum(axis=-1))
     return lse - picked
 
 

@@ -411,7 +411,7 @@ def attention_with_zero_token(
 
 
 # Rows per chunk of the FFN's elementwise (B*T, d_ff) work: a chunk's tanh
-# term lives in cache instead of as a third full (B*T, d_ff) array. The GEMMs
+# term and GELU output live in cache, not as full (B*T, d_ff) arrays. The GEMMs
 # stay whole: OpenBLAS takes other kernels for a few rows (under 16 rows at
 # d_ff=512), so a row-chunked product is not bitwise the whole one.
 FFN_CHUNK_ROWS = 64
@@ -423,11 +423,14 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
     With use_gate the update is FFN(LN(h)) * sigmoid(LN(h) @ gw + gb); with it
     off the multiply is skipped entirely, so disabling the gate is exact.
 
-    One tape record covers the block. It saves the layer norm's xhat and inv,
-    the GELU input and, with the gate, the ungated output and the gate;
-    backward rebuilds the layer norm output and the GELU output. The GELU
-    and its gradient run FFN_CHUNK_ROWS rows at a time; they are
-    elementwise, so the bits are those of one full-array pass.
+    One tape record covers the block. It saves the layer norm's xhat and inv
+    and, with the gate, the ungated output and the gate. The GELU output is
+    written over its input, FFN_CHUNK_ROWS rows at a time, in one (B*T, d_ff)
+    buffer that dies with the forward. Backward rebuilds the layer norm
+    output and, from it, that buffer with the forward's GEMM and bias add,
+    turning the upstream gradient into the GELU input's chunk by chunk on
+    the way. The GELU and its gradient are elementwise, so the chunks' bits
+    are those of one full-array pass.
     """
     b, t, d = h.shape
     n = b * t
@@ -438,16 +441,29 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         inputs += [rec.gate_w, rec.gate_b]
     ad._same_dtype(*inputs)
     gamma, beta = rec.ln2_g.data, rec.ln2_b.data
-    w1, w2 = rec.w1.data, rec.w2.data
+    w1, b1, w2 = rec.w1.data, rec.b1.data, rec.w2.data
     gate_w = rec.gate_w.data if use_gate else None
     chunks = [slice(r, r + FFN_CHUNK_ROWS) for r in range(0, n, FFN_CHUNK_ROWS)]
+
+    def gelu(flat, g_pre=None):
+        """GELU(flat @ w1 + b1) in one fresh (n, d_ff) buffer, which holds
+        the GELU input until each chunk's output is written over it. With
+        `g_pre`, each chunk of it is first turned in place into the GELU
+        input's gradient."""
+        act = np.matmul(flat, w1)
+        act += b1  # the bias in place, as in the attention's scores
+        scratch = np.empty((min(n, FFN_CHUNK_ROWS), act.shape[1]), act.dtype)
+        for c in chunks:
+            x = act[c]
+            gelu_c, tanh_term = ad._gelu_parts(x, out=scratch[: len(x)])
+            if g_pre is not None:
+                ad.gelu_grad(x, tanh_term, g_pre[c], out=g_pre[c])
+            x[...] = gelu_c
+        return act
+
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
     flat = y.reshape(n, d)
-    pre = np.matmul(flat, w1)  # bias added in place, as in the attention's scores
-    pre += rec.b1.data
-    act = np.empty_like(pre)
-    for c in chunks:
-        ad._gelu_parts(pre[c], out=act[c])
+    act = gelu(flat)
     o = np.matmul(act, w2)
     del act
     o += rec.b2.data
@@ -475,11 +491,7 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         # matmul_grad(act, w2, g_o) split in two around the GELU loop: the
         # upstream gradient first, turned into the GELU input's in place.
         g_pre = np.matmul(g_o, w2.T)
-        act = np.empty_like(pre)
-        for c in chunks:
-            _, tanh_term = ad._gelu_parts(pre[c], out=act[c])
-            ad.gelu_grad(pre[c], tanh_term, g_pre[c], out=g_pre[c])
-        del tanh_term
+        act = gelu(flat, g_pre)
         g_w2 = np.matmul(act.T, g_o)
         del act, g_o
         g_part, g_w1 = ad.matmul_grad(flat, w1, g_pre)
@@ -621,7 +633,8 @@ def forward(
         layer, cycle = schedule.applications[idx]
         rec = params.record(layer)
         zkey = params.pool.get((layer, cycle))
-        h, zattn, _ = attention_with_zero_token(h, rec, zkey, config.n_heads)
+        # No name for the weights: one would keep them alive through the FFN.
+        h, zattn = attention_with_zero_token(h, rec, zkey, config.n_heads)[:2]
         h, gate_np = gated_ffn(h, rec, config.use_gate)
         if record:
             telemetry.add(

@@ -189,19 +189,21 @@ def test_gelu_float32_tape_and_decode_kernels_are_bitwise_equal():
 
 @pytest.mark.parametrize("rows", [1, 4, 7, 64])
 def test_gelu_grad_by_rows_is_bitwise_the_full_array_gradient(rows):
-    # The FFN rule rebuilds the GELU output into one buffer and its gradient
-    # over the upstream gradient's buffer, a chunk of rows at a time; a chunk
-    # may run past the last row.
+    # The FFN writes the GELU output over its input and the gradient over
+    # the upstream gradient's buffer, a chunk of rows at a time, each output
+    # chunk built in a scratch buffer first; a chunk may run past the last row.
     rng = np.random.default_rng(11)
     x = rng.normal(scale=3.0, size=(21, 33)).astype(np.float32)
     g = rng.normal(size=x.shape).astype(np.float32)
     want_act, t = ad._gelu_parts(x)
     want = ad.gelu_grad(x, t, g)
-    act, buf = np.empty_like(x), g.copy()
+    act, buf = x.copy(), g.copy()
+    scratch = np.empty((min(rows, len(x)), x.shape[1]), x.dtype)
     for r in range(0, len(x), rows):
         c = slice(r, r + rows)
-        _, t_c = ad._gelu_parts(x[c], out=act[c])
-        ad.gelu_grad(x[c], t_c, buf[c], out=buf[c])
+        act_c, t_c = ad._gelu_parts(act[c], out=scratch[: len(act[c])])
+        ad.gelu_grad(act[c], t_c, buf[c], out=buf[c])
+        act[c] = act_c
     np.testing.assert_array_equal(act, want_act)
     np.testing.assert_array_equal(buf, want)
 
