@@ -212,24 +212,28 @@ def _same_dtype(*ts: Tensor) -> np.dtype:
 # arrays.
 
 
-def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-invariant softmax along `axis`."""
+def softmax_np(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift-invariant softmax along `axis`, built in `out` (a fresh array if
+    None; `x` itself may be passed to overwrite it).
+
+    exp(x - max) / sum, in one buffer: the shift, exp and divide run in
+    place, with the bits of the three-buffer `e = exp(x - m); e / sum(e)`.
+    """
     m = np.maximum.reduce(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
+    out = np.subtract(x, m, out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
+    return out
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_parts(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """tanh-approximation GELU of `x`, and the tanh term its derivative needs.
-
-    0.5 * x * (1 + tanh(C * (x + A * x^3))), built in place in a fresh tanh
-    buffer and in `out` (a fresh one if None). The cube is two multiplies:
-    float32 `x ** 3` goes through a generic power routine about 100x slower
-    than `x * x * x`.
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh term tanh(C * (x + A * x^3)) of the GELU at `x`, built in
+    place in one fresh buffer. The cube is two multiplies: float32 `x ** 3`
+    goes through a generic power routine about 100x slower than `x * x * x`.
     """
     t = x * x
     t *= x
@@ -237,7 +241,14 @@ def _gelu_parts(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarra
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = np.add(t, 1.0, out=out)
+    return t
+
+
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximation GELU of `x`, 0.5 * x * (1 + t), and the tanh term
+    `t` its derivative needs, each in a fresh buffer."""
+    t = _gelu_tanh(x)
+    out = t + 1.0
     out *= x
     out *= 0.5
     return out, t
@@ -302,8 +313,9 @@ def layer_norm_grad(
 
 def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of GELU at `x` given its output's gradient `g` and the tanh
-    term `t` of `_gelu_parts(x)`, written into `out` (which may be `g`) or a
-    fresh array.
+    term `t` of `_gelu_tanh(x)`, written into `out` (which may be `g`) or a
+    fresh array. Leaves `t` holding 1 + t, from which the GELU output is
+    x * (1 + t) * 0.5.
 
     d/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3A x^2), with
     1 - t^2 taken as (1 - t) * (1 + t), reusing the 1 + t of the first term.
@@ -315,9 +327,10 @@ def gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, out: np.ndarray | Non
     d *= x
     s = 1.0 - t
     d *= s
-    np.add(t, 1.0, out=s)
-    d *= s
-    d += s
+    del s
+    t += 1.0
+    d *= t
+    d += t
     d *= 0.5
     return np.multiply(d, g, out=d if out is None else out)
 

@@ -309,7 +309,9 @@ def attention_with_zero_token(
     to every query) and zeros as the value, and sequence position p is row
     p+1; the zero token emits no query of its own. Without one, position p
     is row p. Returns (H_in + attention output, slot-0 weight per (batch,
-    head, query) or None, full attention weights).
+    head, query) or None, full attention weights). The weights are the
+    softmax buffer itself, not a copy; callers that do not read them take
+    `[:2]`, so the buffer dies with the call.
 
     Without `cache` the block allocates buffers of exactly the rows this call
     reads, and `start` must be 0. `cache` passes in buffers with at least
@@ -318,10 +320,12 @@ def attention_with_zero_token(
     does not record: under a tape, with an input that needs a gradient, it
     raises `UsageError` (incremental decode runs without a tape).
 
-    One tape record covers the block. It saves the layer norm's xhat and inv
-    and the attention weights; backward rebuilds the layer norm output, the
-    queries and the key and value buffers (with the forward's GEMMs and its
-    zero-slot row 0), and the head-merged mix.
+    One tape record covers the block. It saves only the layer norm's xhat
+    and inv. Backward rebuilds the layer norm output, the queries and the
+    key and value buffers (with the forward's GEMMs and its zero-slot row
+    0), from them the attention weights (the forward's `attend`: scores,
+    scale, mask and an in-place softmax), and the head-merged mix, all
+    bitwise the forward's.
     """
     b, t, d = h.shape
     if d % n_heads != 0:
@@ -358,17 +362,22 @@ def attention_with_zero_token(
     def buffers():
         return np.empty((b, keys, d), dtype), np.empty((b, keys, d), dtype)
 
+    scale = float(1.0 / np.sqrt(hd))
+
+    def attend(q, k):
+        """Attention weights (B, heads, T, keys) of queries `q` over keys `k`:
+        scores, scale, causal mask and softmax, all in one fresh buffer."""
+        w = np.matmul(q, k.transpose(0, 1, 3, 2))
+        w *= dtype.type(scale)  # in place: the bits of the out-of-place form
+        if t > 1:  # one query sees every row it reads: no mask
+            w += build_causal_mask(t, zero_slot, dtype, start)
+        return ad.softmax_np(w, axis=-1, out=w)
+
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
     q, k, v = project(y.reshape(b * t, d), *(cache or buffers()))
     del y
-    scale = float(1.0 / np.sqrt(hd))
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    weights = attend(q, k)
     del q, k
-    scores *= dtype.type(scale)  # in place: the bits of the out-of-place form, one buffer fewer
-    if t > 1:  # one query sees every row it reads: no mask
-        scores += build_causal_mask(t, zero_slot, dtype, start)
-    weights = ad.softmax_np(scores, axis=-1)
-    del scores
     out = np.matmul(_merge_heads(np.matmul(weights, v)), wo).reshape(b, t, d)
     del v
     out += h.data  # the residual add in place: h + out, bitwise
@@ -378,11 +387,12 @@ def attention_with_zero_token(
         go = np.reshape(g, (b * t, d))
         flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
         q, k, v = project(flat, *buffers())
+        weights = attend(q, k)
         g_mix, g_wo = ad.matmul_grad(_merge_heads(np.matmul(weights, v)), wo, go)
         g_w, g_v = ad.matmul_grad(weights, v, _split_heads(g_mix, b, t, n_heads))
         del g_mix, v
         g_scores = ad.softmax_grad(weights, g_w)
-        del g_w
+        del g_w, weights
         g_scores *= scale
         g_q, g_kt = ad.matmul_grad(q, np.transpose(k, (0, 1, 3, 2)), g_scores)
         del g_scores, q, k
@@ -411,7 +421,8 @@ def attention_with_zero_token(
 
 
 # Rows per chunk of the FFN's elementwise (B*T, d_ff) work: a chunk's tanh
-# term and GELU output live in cache, not as full (B*T, d_ff) arrays. The GEMMs
+# term (and in backward `gelu_grad`'s two temporaries) live in cache, not as
+# full (B*T, d_ff) arrays; the GELU output is written over its input. The GEMMs
 # stay whole: OpenBLAS takes other kernels for a few rows (under 16 rows at
 # d_ff=512), so a row-chunked product is not bitwise the whole one.
 FFN_CHUNK_ROWS = 64
@@ -425,12 +436,12 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
 
     One tape record covers the block. It saves the layer norm's xhat and inv
     and, with the gate, the ungated output and the gate. The GELU output is
-    written over its input, FFN_CHUNK_ROWS rows at a time, in one (B*T, d_ff)
-    buffer that dies with the forward. Backward rebuilds the layer norm
-    output and, from it, that buffer with the forward's GEMM and bias add,
-    turning the upstream gradient into the GELU input's chunk by chunk on
-    the way. The GELU and its gradient are elementwise, so the chunks' bits
-    are those of one full-array pass.
+    finished in place over its input from the tanh term, FFN_CHUNK_ROWS rows
+    at a time, in one (B*T, d_ff) buffer that dies with the forward. Backward
+    rebuilds the layer norm output and, from it, that buffer with the
+    forward's GEMM and bias add, turning the upstream gradient into the GELU
+    input's chunk by chunk on the way. The GELU and its gradient are
+    elementwise, so the chunks' bits are those of one full-array pass.
     """
     b, t, d = h.shape
     n = b * t
@@ -451,14 +462,17 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         `g_pre`, each chunk of it is first turned in place into the GELU
         input's gradient."""
         act = np.matmul(flat, w1)
+        del flat  # the rule's rebuilt layer norm output dies before the loop
         act += b1  # the bias in place, as in the attention's scores
-        scratch = np.empty((min(n, FFN_CHUNK_ROWS), act.shape[1]), act.dtype)
         for c in chunks:
             x = act[c]
-            gelu_c, tanh_term = ad._gelu_parts(x, out=scratch[: len(x)])
-            if g_pre is not None:
+            tanh_term = ad._gelu_tanh(x)
+            if g_pre is None:
+                tanh_term += 1.0
+            else:  # also turns the tanh term t into 1 + t
                 ad.gelu_grad(x, tanh_term, g_pre[c], out=g_pre[c])
-            x[...] = gelu_c
+            x *= tanh_term  # (1 + t) * x * 0.5, `_gelu_parts`' op order
+            x *= 0.5
         return act
 
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
@@ -479,28 +493,36 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         o = None  # backward reads the ungated output only for the gate's gradient
 
     def rule(g):
-        g_o = np.reshape(g, (n, d))
-        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (n, d))
-        grads = []
-        if gate is not None:
-            g_o, g_gate = g_o * gate, np.sum(g_o * o, axis=-1, keepdims=True)
-            g_z = ad.sigmoid_grad(gate, g_gate)
-            g_flat, g_gate_w = ad.matmul_grad(flat, gate_w, g_z)
-            grads = [g_gate_w, ad.bias_grad(g_z)]
-        g_b2 = ad.bias_grad(g_o)
+        g_h = np.reshape(g, (n, d))
+
+        def ln_out():
+            return np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (n, d))
+
+        def grad_o():  # the ungated output's gradient
+            return g_h if gate is None else g_h * gate
+
         # matmul_grad(act, w2, g_o) split in two around the GELU loop: the
         # upstream gradient first, turned into the GELU input's in place.
+        # Only the two (n, d_ff) buffers and the loop's chunk temporaries
+        # live through the loop: the layer norm output, g_o and the gate's
+        # terms are built before or after it.
+        g_o = grad_o()
+        g_b2 = ad.bias_grad(g_o)
         g_pre = np.matmul(g_o, w2.T)
-        act = gelu(flat, g_pre)
-        g_w2 = np.matmul(act.T, g_o)
-        del act, g_o
-        g_part, g_w1 = ad.matmul_grad(flat, w1, g_pre)
-        # With the gate, its term came first on the per-op tape.
+        del g_o
+        act = gelu(ln_out(), g_pre)
+        g_w2 = np.matmul(act.T, grad_o())
+        del act
+        flat = ln_out()
+        g_flat, g_w1 = ad.matmul_grad(flat, w1, g_pre)
+        grads = []
         if gate is not None:
-            g_flat += g_part
-        else:
-            g_flat = g_part
-        del flat, g_part
+            g_z = ad.sigmoid_grad(gate, np.sum(g_h * o, axis=-1, keepdims=True))
+            g_part, g_gate_w = ad.matmul_grad(flat, gate_w, g_z)
+            g_flat += g_part  # two terms: the same bits in either order
+            grads = [g_gate_w, ad.bias_grad(g_z)]
+            del g_part
+        del flat
         g_x, g_gamma, g_beta = ad.layer_norm_grad(np.reshape(g_flat, (b, t, d)), xhat, inv, gamma)
         # h appears twice: its residual term, then its layer-norm term.
         return (g, g_x, g_gamma, g_beta, g_w1, ad.bias_grad(g_pre), g_w2, g_b2, *grads)

@@ -189,23 +189,46 @@ def test_gelu_float32_tape_and_decode_kernels_are_bitwise_equal():
 
 @pytest.mark.parametrize("rows", [1, 4, 7, 64])
 def test_gelu_grad_by_rows_is_bitwise_the_full_array_gradient(rows):
-    # The FFN writes the GELU output over its input and the gradient over
-    # the upstream gradient's buffer, a chunk of rows at a time, each output
-    # chunk built in a scratch buffer first; a chunk may run past the last row.
+    # The FFN's backward turns the upstream gradient's buffer into the GELU
+    # input's, then finishes the GELU output over its input from the 1 + t
+    # that `gelu_grad` leaves in the tanh term, a chunk of rows at a time; a
+    # chunk may run past the last row.
     rng = np.random.default_rng(11)
     x = rng.normal(scale=3.0, size=(21, 33)).astype(np.float32)
     g = rng.normal(size=x.shape).astype(np.float32)
     want_act, t = ad._gelu_parts(x)
     want = ad.gelu_grad(x, t, g)
     act, buf = x.copy(), g.copy()
-    scratch = np.empty((min(rows, len(x)), x.shape[1]), x.dtype)
     for r in range(0, len(x), rows):
         c = slice(r, r + rows)
-        act_c, t_c = ad._gelu_parts(act[c], out=scratch[: len(act[c])])
+        t_c = ad._gelu_tanh(act[c])
         ad.gelu_grad(act[c], t_c, buf[c], out=buf[c])
-        act[c] = act_c
+        act[c] *= t_c
+        act[c] *= 0.5
     np.testing.assert_array_equal(act, want_act)
     np.testing.assert_array_equal(buf, want)
+
+
+@pytest.mark.parametrize(
+    "shape,dtype,axis", [((2, 3, 5, 6), np.float32, -1), ((259,), np.float64, -1), ((4, 7), np.float32, 0)]
+)
+def test_softmax_np_in_one_buffer_is_bitwise_the_three_buffer_form(shape, dtype, axis):
+    # 4-D float32 is the attention's weights; 1-D float64 is `generate`'s
+    # sampling distribution.
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=4.0, size=shape).astype(dtype)
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    want = e / np.sum(e, axis=axis, keepdims=True)
+    fresh = ad.softmax_np(x, axis=axis)
+    assert fresh.dtype == dtype and not np.shares_memory(fresh, x)
+    np.testing.assert_array_equal(fresh, want)
+    out = np.full_like(x, np.nan)
+    assert ad.softmax_np(x, axis=axis, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    inplace = x.copy()
+    assert ad.softmax_np(inplace, axis=axis, out=inplace) is inplace
+    np.testing.assert_array_equal(inplace, want)
 
 
 def test_gelu_float32_matches_float64_reference():
