@@ -613,17 +613,19 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         bad = int(targets.min()) if targets.min() < 0 else int(targets.max())
         raise IndexError(f"target id {bad} outside vocabulary of size {v}")
-    m = logits.data.max(axis=1, keepdims=True)
-    z = logits.data - m
-    lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-    logp = z - lse
+    # z - lse with z = logits - max, built in the buffer that becomes logp:
+    # the same values, with one (N, V) temporary (the exp) instead of two.
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(logp), axis=1, keepdims=True))
+    logp -= lse
     nll = -logp[np.arange(n), targets]
     out = Tensor(np.asarray(nll.mean(), dtype=logits.data.dtype))
 
     def rule(g):
         p = np.exp(logp)
         p[np.arange(n), targets] -= 1.0
-        return (p * (g / n),)
+        p *= g / n
+        return (p,)
 
     return _finish(out, rule, logits)
 

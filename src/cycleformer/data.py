@@ -25,9 +25,12 @@ class ByteVocabulary:
     """Fixed byte vocabulary; encode/decode round-trip any byte string."""
 
     def encode(self, data: bytes, add_bos: bool = False) -> np.ndarray:
-        ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        """`data` as uint16 ids: every id fits, at 2 bytes a token against
+        int64's 8. Batches are widened to int64 as they are cut
+        (`next_batch`, `evaluate`)."""
+        ids = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
         if add_bos:
-            ids = np.concatenate([np.array([BOS_ID], dtype=np.int64), ids])
+            ids = np.concatenate([np.array([BOS_ID], dtype=np.uint16), ids])
         return ids
 
     def decode(self, ids) -> bytes:
@@ -46,7 +49,7 @@ def check_ids_fit(ids, vocab: int, what: str) -> None:
 
 
 def load_corpus(path: str | os.PathLike) -> np.ndarray:
-    """Read a file as one flat id stream."""
+    """Read a file as one flat uint16 id stream."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw:

@@ -88,7 +88,7 @@ def evaluate(
         raise ConfigError(f"batch and max_batches must be >= 1, got {batch} and {max_batches}")
     policy = policy or ExitPolicy()
     t = config.t_max
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)  # widened to int64 per window group, not as a whole
     check_ids_fit(ids, config.vocab, "data")
     n_win = (len(ids) - 1) // t
     if n_win < 1:
@@ -105,8 +105,8 @@ def evaluate(
         if max_batches is not None and n_batches >= max_batches:
             break
         windows = range(start, min(start + batch, n_win))
-        inputs = np.stack([ids[w * t : w * t + t] for w in windows])
-        targets = np.stack([ids[w * t + 1 : w * t + t + 1] for w in windows])
+        inputs = np.stack([ids[w * t : w * t + t] for w in windows]).astype(np.int64, copy=False)
+        targets = np.stack([ids[w * t + 1 : w * t + t + 1] for w in windows]).astype(np.int64, copy=False)
         res = forward(inputs, params, config, capture_exits=True, exit_threshold=policy.threshold)
         toks = targets.size
         per_exit = np.stack([_nll(e.data, targets) for e in res.exit_logits])

@@ -325,7 +325,9 @@ def attention_with_zero_token(
     key and value buffers (with the forward's GEMMs and its zero-slot row
     0), from them the attention weights (the forward's `attend`: scores,
     scale, mask and an in-place softmax), and the head-merged mix, all
-    bitwise the forward's.
+    bitwise the forward's. It builds the layer norm output twice, for the
+    projections and for their weight gradients, so that (B*T, d) array is
+    not alive through the softmax gradient, where the rule's memory peaks.
     """
     b, t, d = h.shape
     if d % n_heads != 0:
@@ -385,8 +387,11 @@ def attention_with_zero_token(
 
     def rule(g):
         go = np.reshape(g, (b * t, d))
-        flat = np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
-        q, k, v = project(flat, *buffers())
+
+        def ln_out():
+            return np.reshape(ad.layer_norm_affine(xhat, gamma, beta), (b * t, d))
+
+        q, k, v = project(ln_out(), *buffers())
         weights = attend(q, k)
         g_mix, g_wo = ad.matmul_grad(_merge_heads(np.matmul(weights, v)), wo, go)
         g_w, g_v = ad.matmul_grad(weights, v, _split_heads(g_mix, b, t, n_heads))
@@ -405,6 +410,7 @@ def attention_with_zero_token(
             grads.append(np.reshape(g_z, (d,)))
             g_k, g_v = g_k[:, :, 1:, :], g_v[:, :, 1:, :]
         # Accumulate in the order the per-op tape did: v, then k, then q.
+        flat = ln_out()
         g_flat, g_wv = ad.matmul_grad(flat, wv, _merge_heads(g_v))
         g_part, g_wk = ad.matmul_grad(flat, wk, _merge_heads(g_k))
         g_flat += g_part
@@ -424,8 +430,9 @@ def attention_with_zero_token(
 # term (and in backward `gelu_grad`'s two temporaries) live in cache, not as
 # full (B*T, d_ff) arrays; the GELU output is written over its input. The GEMMs
 # stay whole: OpenBLAS takes other kernels for a few rows (under 16 rows at
-# d_ff=512), so a row-chunked product is not bitwise the whole one.
-FFN_CHUNK_ROWS = 64
+# d_ff=512), so a row-chunked product is not bitwise the whole one. At 64 rows
+# the chunk temporaries set the backward's memory peak for small batches.
+FFN_CHUNK_ROWS = 32
 
 
 def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, np.ndarray | None]:
@@ -435,13 +442,15 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
     off the multiply is skipped entirely, so disabling the gate is exact.
 
     One tape record covers the block. It saves the layer norm's xhat and inv
-    and, with the gate, the ungated output and the gate. The GELU output is
-    finished in place over its input from the tanh term, FFN_CHUNK_ROWS rows
-    at a time, in one (B*T, d_ff) buffer that dies with the forward. Backward
-    rebuilds the layer norm output and, from it, that buffer with the
-    forward's GEMM and bias add, turning the upstream gradient into the GELU
-    input's chunk by chunk on the way. The GELU and its gradient are
-    elementwise, so the chunks' bits are those of one full-array pass.
+    and, with the gate, the gate. The GELU output is finished in place over
+    its input from the tanh term, FFN_CHUNK_ROWS rows at a time, in one
+    (B*T, d_ff) buffer that dies with the forward. Backward rebuilds the
+    layer norm output and, from it, that buffer with the forward's GEMM and
+    bias add, turning the upstream gradient into the GELU input's chunk by
+    chunk on the way. The GELU and its gradient are elementwise, so the
+    chunks' bits are those of one full-array pass. With the gate, backward
+    also rebuilds the ungated output from that buffer with the forward's
+    GEMM and bias add, for the gate's gradient.
     """
     b, t, d = h.shape
     n = b * t
@@ -452,7 +461,7 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         inputs += [rec.gate_w, rec.gate_b]
     ad._same_dtype(*inputs)
     gamma, beta = rec.ln2_g.data, rec.ln2_b.data
-    w1, b1, w2 = rec.w1.data, rec.b1.data, rec.w2.data
+    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
     gate_w = rec.gate_w.data if use_gate else None
     chunks = [slice(r, r + FFN_CHUNK_ROWS) for r in range(0, n, FFN_CHUNK_ROWS)]
 
@@ -478,19 +487,17 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
     y, xhat, inv = ad.layer_norm_parts(h.data, gamma, beta)
     flat = y.reshape(n, d)
     act = gelu(flat)
-    o = np.matmul(act, w2)
+    out = np.matmul(act, w2)
     del act
-    o += rec.b2.data
+    out += b2
     gate = gate_np = None
     if use_gate:
         gate = ad.sigmoid_np(np.matmul(flat, gate_w) + rec.gate_b.data)
         gate_np = gate.reshape(b, t).copy()
+        out *= gate
     del y, flat
-    out = o if gate is None else o * gate
     out += h.data.reshape(n, d)  # the residual add in place: h + update, bitwise
     h_f = Tensor(out.reshape(b, t, d))
-    if gate is None:
-        o = None  # backward reads the ungated output only for the gate's gradient
 
     def rule(g):
         g_h = np.reshape(g, (n, d))
@@ -512,12 +519,17 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
         del g_o
         act = gelu(ln_out(), g_pre)
         g_w2 = np.matmul(act.T, grad_o())
+        if gate is not None:
+            o = np.matmul(act, w2)  # the ungated output, as the forward built it
+            o += b2
+            o *= g_h  # g_h * o, in place
+            g_z = ad.sigmoid_grad(gate, np.sum(o, axis=-1, keepdims=True))
+            del o
         del act
         flat = ln_out()
         g_flat, g_w1 = ad.matmul_grad(flat, w1, g_pre)
         grads = []
         if gate is not None:
-            g_z = ad.sigmoid_grad(gate, np.sum(g_h * o, axis=-1, keepdims=True))
             g_part, g_gate_w = ad.matmul_grad(flat, gate_w, g_z)
             g_flat += g_part  # two terms: the same bits in either order
             grads = [g_gate_w, ad.bias_grad(g_z)]

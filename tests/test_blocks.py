@@ -129,8 +129,8 @@ def test_fused_record_matches_op_chain_bitwise(name):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_fused_record_matches_op_chain_across_ffn_chunks(name):
-    # 150 rows: two full FFN chunks and a partial one, so the GELU and its
-    # gradient cross chunk seams.
+    # 150 rows: several full FFN chunks and a partial one, so the GELU and
+    # its gradient cross chunk seams.
     b, t = 3, 50
     assert b * t > FFN_CHUNK_ROWS and (b * t) % FFN_CHUNK_ROWS
     assert_fused_matches_op_chain(name, b, t)

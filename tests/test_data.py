@@ -31,6 +31,7 @@ def test_vocabulary_constants():
 def test_encode_decode_roundtrip(data):
     vocab = ByteVocabulary()
     ids = vocab.encode(data)
+    assert ids.dtype == np.uint16
     assert len(ids) == len(data)
     assert vocab.decode(ids) == data
 
@@ -38,6 +39,7 @@ def test_encode_decode_roundtrip(data):
 def test_bos_prefix_is_optional_and_dropped_on_decode():
     vocab = ByteVocabulary()
     ids = vocab.encode(b"hi", add_bos=True)
+    assert ids.dtype == np.uint16
     assert ids.tolist() == [BOS_ID, 104, 105]
     assert vocab.decode(ids) == b"hi"
 
@@ -89,6 +91,17 @@ def test_identical_seed_identical_batches():
         ib, tb = next_batch(b, ids, step)
         np.testing.assert_array_equal(ia, ib)
         np.testing.assert_array_equal(ta, tb)
+
+
+def test_batches_are_int64_and_equal_from_uint16_or_int64_ids():
+    ids = np.random.default_rng(0).integers(0, VOCAB_SIZE, size=500)
+    plan = BatchPlan(seq_len=16, batch=4, seed=9)
+    for step in range(3):
+        wide = next_batch(plan, ids, step)
+        narrow = next_batch(plan, ids.astype(np.uint16), step)
+        for a, b in zip(wide, narrow, strict=True):
+            assert b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
 
 
 def test_different_seed_differs():

@@ -97,6 +97,17 @@ def test_empty_batches_rejected(kw):
         evaluate(params, cfg, corpus(), **kw)
 
 
+def test_evaluate_reports_the_same_from_uint16_or_int64_ids():
+    # Streams from `load_corpus` are uint16; evaluate widens each window
+    # group to int64, not the whole stream.
+    cfg, params = make_model(vocab=259)
+    ids = corpus(900, vocab=259, seed=3)
+    for policy in (None, ExitPolicy(threshold=0.5)):
+        wide = evaluate(params, cfg, ids, policy, batch=3)
+        narrow = evaluate(params, cfg, ids.astype(np.uint16), policy, batch=3)
+        assert repr(narrow) == repr(wide)
+
+
 def test_evaluate_is_pure():
     cfg, params = make_model()
     ids = corpus(400)

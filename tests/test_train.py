@@ -228,6 +228,22 @@ def test_ffn_rules_bind_no_gelu_sized_array():
         assert shapes and gelu_shape not in shapes, shapes
 
 
+def test_gated_ffn_rules_bind_no_output_sized_array():
+    # The gated FFN rule rebuilds the (B*T, d) ungated output from the GELU
+    # buffer it already rebuilds; it must not keep one alive on the tape.
+    cfg = tiny_config(**_MEMORY_CONFIG)
+    params, ids, targets = _model_batch(cfg)
+    tape, _ = _taped_forward(cfg, params, ids, targets)
+    rules = [rule for _, _, rule in tape._records if rule.__qualname__.startswith("gated_ffn.")]
+    gate_shape, out_shape = (ids.size, 1), (ids.size, cfg.d_model)
+    gated = [rule for rule in rules if any(
+        isinstance(v, np.ndarray) and v.shape == gate_shape for v in _bound_values(rule))]
+    assert gated
+    for rule in gated:
+        shapes = [v.shape for v in _bound_values(rule) if isinstance(v, np.ndarray)]
+        assert out_shape not in shapes, shapes
+
+
 def test_attention_scores_die_with_the_forward(monkeypatch):
     # No rule reads the scores a softmax turns into attention weights, so
     # they must be freed once the forward returns, while the tape lives on.
@@ -454,6 +470,17 @@ def test_training_is_bitwise_deterministic():
     ids = tiny_corpus(seed=4)
     a = train(cfg, plan, ids)
     b = train(cfg, plan, ids)
+    assert a.losses == b.losses
+    for name, t in a.params.named().items():
+        np.testing.assert_array_equal(t.data, b.params.named()[name].data, err_msg=name)
+
+
+def test_train_step_from_uint16_ids_is_bitwise_the_int64_step():
+    cfg = tiny_config()
+    plan = TrainPlan(steps=1, batch=2, lr=1e-3, seed=4)
+    ids = tiny_corpus(seed=4)
+    a = train(cfg, plan, ids)
+    b = train(cfg, plan, ids.astype(np.uint16))
     assert a.losses == b.losses
     for name, t in a.params.named().items():
         np.testing.assert_array_equal(t.data, b.params.named()[name].data, err_msg=name)
