@@ -14,8 +14,10 @@ deepening; its emitted logits are final.
 
 Each token runs the model's own code on a one-token batch, with no tape:
 `embed`, then per application `attention_with_zero_token` over the slot's
-K/V rows and `gated_ffn`, then `_lm_logits`. They are imported by name, so
-wrappers set on the `model` module (the tracer's spans) do not reach decode.
+K/V rows (its slot-0 weight is the halting signal) and `gated_ffn` (which
+gates iff the layer's record has a gate), then `_lm_logits`. They are
+imported by name, so wrappers set on the `model` module (the tracer's
+spans) do not reach decode.
 """
 from __future__ import annotations
 
@@ -29,13 +31,13 @@ from .model import (
     ModelConfig,
     ModelParameters,
     _lm_logits,
+    aggregate,
     attention_with_zero_token,
     build_schedule,
     embed,
     gated_ffn,
     token_ids,
 )
-from .telemetry import aggregate
 from .data import BOS_ID
 
 
@@ -108,9 +110,9 @@ def _run_slot(cache: DecodeCache, slot_idx: int, pos: int, h: np.ndarray):
     h_att, zattn = attention_with_zero_token(
         Tensor(h[None, None]), rec, params.pool.get((layer, cycle)), cache.config.n_heads,
         cache=(slot.k[None], slot.v[None]), start=pos,
-    )[:2]
+    )
     slot.filled = max(slot.filled, pos + 1)
-    h_out, _ = gated_ffn(h_att, rec, cache.config.use_gate)
+    h_out, _ = gated_ffn(h_att, rec)
     return h_out.data[0, 0], None if zattn is None else float(zattn.mean())
 
 
@@ -137,10 +139,7 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
     """
     policy = policy or ExitPolicy()
     config, schedule = cache.config, cache.schedule
-    if policy.adaptive and not config.supports_adaptive_exit:
-        raise ConfigError(
-            "adaptive exit needs zero-token attention on a head-tail cycled variant"
-        )
+    config.check_exit_threshold(policy.threshold)
     t = cache.n_pos
     if t >= config.t_max:
         raise UsageError(f"context is full at t_max={config.t_max} positions")

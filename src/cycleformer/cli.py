@@ -26,7 +26,7 @@ from .errors import (
     UsageError,
 )
 from .evaluate import budget_sweep, evaluate, format_sweep
-from .model import ModelConfig, init_from_vanilla, param_count
+from .model import init_from_vanilla, param_count
 from .train import MetricsWriter, plan_from_run, train
 
 EXIT_USAGE = 2
@@ -123,16 +123,6 @@ def _check_out(path: str) -> None:
         raise UsageError(f"--out {path}: {parent} is not an existing directory")
 
 
-def _check_exit_threshold(rc: RunConfig, cfg: ModelConfig) -> None:
-    """Refuse to write a checkpoint whose exit_threshold its model cannot
-    apply: eval and generate would reject it as their default policy."""
-    if rc.exit_threshold is not None and not cfg.supports_adaptive_exit:
-        raise ConfigError(
-            f"exit_threshold={rc.exit_threshold:g} needs zero-token attention on a head-tail "
-            f"cycled variant, but this {cfg.variant} model has none; set exit_threshold=none"
-        )
-
-
 def cmd_train(args) -> int:
     _check_out(args.out)
     rc = load_run_config(args.config)
@@ -141,7 +131,8 @@ def cmd_train(args) -> int:
     if rc.corpus_path is None:
         raise ConfigError("corpus_path is not set; add corpus_path=... or pass --data")
     cfg = model_config(rc)
-    _check_exit_threshold(rc, cfg)
+    # Before training: eval and generate would reject the checkpoint's policy.
+    cfg.check_exit_threshold(rc.exit_threshold)
     plan = plan_from_run(rc)
     ids = load_corpus(rc.corpus_path)
     params = None
@@ -239,7 +230,7 @@ def cmd_retrofit(args) -> int:
         share_middle=True,
     )
     target_cfg = model_config(target_rc)
-    _check_exit_threshold(target_rc, target_cfg)
+    target_cfg.check_exit_threshold(target_rc.exit_threshold)
     params = init_from_vanilla(loaded.params, target_cfg, seed=args.seed)
     save_model(args.out, target_rc, params)
     print(

@@ -17,7 +17,7 @@ from .adaptive import ExitPolicy
 from .config import RunConfig, model_config
 from .data import check_ids_fit
 from .errors import ConfigError, DataError
-from .model import ModelConfig, ModelParameters, forward, param_count
+from .model import ModelConfig, ModelParameters, aggregate, forward, param_count
 from .train import plan_from_run, train
 
 
@@ -111,10 +111,9 @@ def evaluate(
         toks = targets.size
         per_exit = np.stack([_nll(e.data, targets) for e in res.exit_logits])
         nll_sum += per_exit.sum(axis=(1, 2))
-        for cycle, z in res.telemetry.zero_attn_by_cycle().items():
-            zattn_sum[cycle] = zattn_sum.get(cycle, 0.0) + z * toks
-        for cycle, g in res.telemetry.gate_by_cycle().items():
-            gate_sum[cycle] = gate_sum.get(cycle, 0.0) + g * toks
+        for sums, values in ((zattn_sum, res.zero_attn), (gate_sum, res.gate)):
+            for cycle, v in values.items():
+                sums[cycle] = sums.get(cycle, 0.0) + aggregate(v) * toks
         if policy.adaptive:
             ada_sum += _nll(res.adaptive_logits.data, targets).sum()
             exit_counts += np.bincount(res.exit_cycle.ravel() - 1, minlength=config.loop_count)

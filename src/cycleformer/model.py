@@ -25,7 +25,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import check_ids_fit
 from .errors import ConfigError, ShapeError, UsageError
-from .telemetry import CycleTelemetry, aggregate
 
 VARIANTS = ("V", "BC", "HTC", "ZTT")
 
@@ -99,6 +98,16 @@ class ModelConfig:
         finish the stream after any cycle."""
         return self.variant in ("HTC", "ZTT") and self.use_zero_token
 
+    def check_exit_threshold(self, threshold: float | None) -> None:
+        """ConfigError for a threshold this model cannot apply: the one check
+        behind every exit threshold, from a config, a flag or a call."""
+        if threshold is not None and not self.supports_adaptive_exit:
+            raise ConfigError(
+                f"adaptive exit (threshold {threshold:g}) needs zero-token attention on a head-tail "
+                f"cycled variant, but this {self.variant} model has none; use exit_threshold=none "
+                "(--threshold none)"
+            )
+
 
 @dataclass(frozen=True)
 class CycleSchedule:
@@ -132,6 +141,11 @@ def build_schedule(config: ModelConfig) -> CycleSchedule:
     by_cycle = {c: tuple(range(h + (c - 1) * k, h + c * k)) for c in range(1, n + 1)}
     apps = head + body + tail
     return CycleSchedule(apps, by_cycle, tuple(range(h)), tuple(range(h + n * k, len(apps))))
+
+
+def aggregate(values):
+    """A cycle's value from its applications' values: their mean."""
+    return sum(values) / len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +315,7 @@ def attention_with_zero_token(
     n_heads: int,
     cache: tuple[np.ndarray, np.ndarray] | None = None,
     start: int = 0,
-) -> tuple[Tensor, np.ndarray | None, Tensor]:
+) -> tuple[Tensor, np.ndarray | None]:
     """Pre-norm causal multi-head attention with an optional zero token.
 
     Keys and values sit in a (keys, values) pair of (B, rows, d) buffers.
@@ -309,9 +323,7 @@ def attention_with_zero_token(
     to every query) and zeros as the value, and sequence position p is row
     p+1; the zero token emits no query of its own. Without one, position p
     is row p. Returns (H_in + attention output, slot-0 weight per (batch,
-    head, query) or None, full attention weights). The weights are the
-    softmax buffer itself, not a copy; callers that do not read them take
-    `[:2]`, so the buffer dies with the call.
+    head, query) or None); the softmax buffer dies with the call.
 
     Without `cache` the block allocates buffers of exactly the rows this call
     reads, and `start` must be 0. `cache` passes in buffers with at least
@@ -423,7 +435,7 @@ def attention_with_zero_token(
 
     ad._finish(h_att, rule, *inputs)
     zero_attn = weights[..., 0].copy() if zero_slot else None
-    return h_att, zero_attn, Tensor(weights)
+    return h_att, zero_attn
 
 
 # Rows per chunk of the FFN's elementwise (B*T, d_ff) work: a chunk's tanh
@@ -435,11 +447,13 @@ def attention_with_zero_token(
 FFN_CHUNK_ROWS = 32
 
 
-def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, np.ndarray | None]:
+def gated_ffn(h: Tensor, rec: LayerParameters) -> tuple[Tensor, np.ndarray | None]:
     """Pre-norm FFN with an optional per-token logistic gate on its output.
 
-    With use_gate the update is FFN(LN(h)) * sigmoid(LN(h) @ gw + gb); with it
-    off the multiply is skipped entirely, so disabling the gate is exact.
+    A record with a gate affine (`init_parameters` builds one iff
+    `use_gate`) updates by FFN(LN(h)) * sigmoid(LN(h) @ gw + gb); one
+    without skips the multiply entirely, so an ungated layer is exact.
+    Returns (h + update, the gate per (batch, position) or None).
 
     One tape record covers the block. It saves the layer norm's xhat and inv
     and, with the gate, the gate. The GELU output is finished in place over
@@ -455,14 +469,13 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
     b, t, d = h.shape
     n = b * t
     inputs = [h, h, rec.ln2_g, rec.ln2_b, rec.w1, rec.b1, rec.w2, rec.b2]
-    if use_gate:
-        if rec.gate_w is None:
-            raise ShapeError("gating requested but this layer has no gate affine")
+    gated = rec.gate_w is not None
+    if gated:
         inputs += [rec.gate_w, rec.gate_b]
     ad._same_dtype(*inputs)
     gamma, beta = rec.ln2_g.data, rec.ln2_b.data
     w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
-    gate_w = rec.gate_w.data if use_gate else None
+    gate_w = rec.gate_w.data if gated else None
     chunks = [slice(r, r + FFN_CHUNK_ROWS) for r in range(0, n, FFN_CHUNK_ROWS)]
 
     def gelu(flat, g_pre=None):
@@ -491,7 +504,7 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
     del act
     out += b2
     gate = gate_np = None
-    if use_gate:
+    if gated:
         gate = ad.sigmoid_np(np.matmul(flat, gate_w) + rec.gate_b.data)
         gate_np = gate.reshape(b, t).copy()
         out *= gate
@@ -547,11 +560,15 @@ def gated_ffn(h: Tensor, rec: LayerParameters, use_gate: bool) -> tuple[Tensor, 
 class ForwardResult:
     """exit_logits[-1] is always the full-depth output; earlier entries exist
     only when capture_exits was set and the variant has intermediate cycles.
-    adaptive_logits and exit_cycle (1-based) exist only when forward was
-    given an exit threshold."""
+    zero_attn and gate map each cycle to its cycled applications' means, in
+    schedule order: of the slot-0 attention weight over batch, heads and
+    queries, and of the FFN gate over batch and positions. Each is {} for a
+    variant without zero tokens or gates. adaptive_logits and exit_cycle
+    (1-based) exist only when forward was given an exit threshold."""
 
     exit_logits: list[Tensor]
-    telemetry: CycleTelemetry
+    zero_attn: dict[int, list[float]]
+    gate: dict[int, list[float]]
     adaptive_logits: Tensor | None = None
     exit_cycle: np.ndarray | None = None
 
@@ -630,11 +647,11 @@ def forward(
 ) -> ForwardResult:
     """Run the cycled stack on token ids of shape (T,) or (B, T).
 
-    Walks the schedule's head, then each cycle, then its tail, recording
-    telemetry for every application of a cycle. With capture_exits, each
-    cycle but the last also feeds a branch copy of the stream through the
-    shared tail and the shared final norm + LM head; the main stream
-    continues through every remaining cycle either way.
+    Walks the schedule's head, then each cycle, then its tail, keeping the
+    zero-attention and gate means of every application of a cycle. With
+    capture_exits, each cycle but the last also feeds a branch copy of the
+    stream through the shared tail and the shared final norm + LM head; the
+    main stream continues through every remaining cycle either way.
 
     With exit_threshold, a position exits after the first cycle whose
     halting signal (the slot-0 attention weight, averaged over heads, then
@@ -645,8 +662,7 @@ def forward(
     recorded, so no gradient reaches the stream through `adaptive_logits`.
     It needs a model whose `supports_adaptive_exit` holds.
     """
-    if exit_threshold is not None and not config.supports_adaptive_exit:
-        raise ConfigError("adaptive exit needs zero-token attention on a head-tail cycled variant")
+    config.check_exit_threshold(exit_threshold)
     ids = np.asarray(ids)
     squeeze = ids.ndim == 1
     if squeeze:
@@ -660,32 +676,24 @@ def forward(
 
     h = embed(ids, params)
 
-    telemetry = CycleTelemetry()
+    zero_attn: dict[int, list[float]] = {}
+    gate: dict[int, list[float]] = {}
     exits: list[Tensor] = []
 
-    def apply(h: Tensor, idx: int, record: bool = False) -> tuple[Tensor, np.ndarray | None]:
+    def apply(h: Tensor, idx: int) -> tuple[Tensor, np.ndarray | None, np.ndarray | None]:
         layer, cycle = schedule.applications[idx]
         rec = params.record(layer)
-        zkey = params.pool.get((layer, cycle))
-        # No name for the weights: one would keep them alive through the FFN.
-        h, zattn = attention_with_zero_token(h, rec, zkey, config.n_heads)[:2]
-        h, gate_np = gated_ffn(h, rec, config.use_gate)
-        if record:
-            telemetry.add(
-                layer,
-                cycle,
-                float(zattn.mean()) if zattn is not None else None,
-                float(gate_np.mean()) if gate_np is not None else None,
-            )
-        return h, zattn
+        h, zattn = attention_with_zero_token(h, rec, params.pool.get((layer, cycle)), config.n_heads)
+        h, gate_np = gated_ffn(h, rec)
+        return h, zattn, gate_np
 
     def finish(h: Tensor) -> Tensor:
         for idx in schedule.post:
-            h, _ = apply(h, idx)
+            h = apply(h, idx)[0]
         return _lm_logits(h, params)
 
     for idx in schedule.pre:
-        h, _ = apply(h, idx)
+        h = apply(h, idx)[0]
     last = len(schedule.by_cycle)
     exit_at = h_exit = None
     if exit_threshold is not None:
@@ -693,8 +701,12 @@ def forward(
     for n, cycle_apps in schedule.by_cycle.items():
         signals = []
         for idx in cycle_apps:
-            h, zattn = apply(h, idx, record=True)
-            signals.append(zattn)
+            h, zattn, gate_np = apply(h, idx)
+            if zattn is not None:
+                signals.append(zattn)
+                zero_attn.setdefault(n, []).append(float(zattn.mean()))
+            if gate_np is not None:
+                gate.setdefault(n, []).append(float(gate_np.mean()))
         if capture_exits and n < last:
             exits.append(finish(h))
         if exit_at is not None:
@@ -709,7 +721,7 @@ def forward(
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
         if adaptive is not None:
             adaptive, exit_at = ad.reshape(adaptive, (t, config.vocab)), exit_at[0]
-    return ForwardResult(exits, telemetry, adaptive, exit_at)
+    return ForwardResult(exits, zero_attn, gate, adaptive, exit_at)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
 from .data import BatchPlan, check_ids_fit, next_batch
 from .errors import ConfigError, TrainingDiverged
-from .model import ModelConfig, ModelParameters, forward, init_parameters
+from .model import ModelConfig, ModelParameters, aggregate, forward, init_parameters
 from .optim import AdamW
-from .telemetry import CycleTelemetry
 
 METRICS_COLUMNS = (
     "step", "split", "exit", "loss", "ppl", "cycle", "zero_attn_mean", "gate_mean",
@@ -158,15 +157,16 @@ class TrainResult:
     steps_done: int = 0
 
 
-def _log_step(metrics, step, per_exit, telemetry: CycleTelemetry, ratios: dict, **shared):
-    """Write a step's per-exit, per-cycle and per-group rows; `shared` (lr and
-    the step's timing and grad norm) goes on every row."""
+def _log_step(metrics, step, per_exit, zattn: dict, gates: dict, ratios: dict, **shared):
+    """Write a step's per-exit, per-cycle and per-group rows; `zattn` and
+    `gates` map a cycle to its applications' means, `shared` (lr and the
+    step's timing and grad norm) goes on every row."""
     for i, loss in enumerate(per_exit, start=1):
         metrics.row(step, "train", exit=i, loss=loss, ppl=math.exp(min(loss, 30.0)), **shared)
-    zattn, gates = telemetry.zero_attn_by_cycle(), telemetry.gate_by_cycle()
     for cycle in zattn or gates:
         metrics.row(
-            step, "train", cycle=cycle, zero_attn_mean=zattn.get(cycle), gate_mean=gates.get(cycle), **shared
+            step, "train", cycle=cycle, zero_attn_mean=aggregate(zattn[cycle]) if cycle in zattn else None,
+            gate_mean=aggregate(gates[cycle]) if cycle in gates else None, **shared,
         )
     for group, ratio in ratios.items():
         metrics.row(step, "train", group=group, update_ratio=ratio, **shared)
@@ -232,14 +232,17 @@ def train(
         optimizer.zero_grad()
         step_loss = 0.0
         per_exit_acc: list[float] | None = None
-        telemetry = CycleTelemetry()
+        zattn: dict[int, list[float]] = {}
+        gates: dict[int, list[float]] = {}
         for micro in range(plan.grad_accum):
             inputs, targets = next_batch(bp, train_ids, step * plan.grad_accum + micro)
             with Tape() as tape:
                 res = forward(inputs, params, config, capture_exits=config.early_exit_heads)
                 loss, per_exit = multi_exit_loss(res.exit_logits, targets)
                 scaled = ad.scale(loss, 1.0 / plan.grad_accum)
-            telemetry.records += res.telemetry.records
+            for merged, values in ((zattn, res.zero_attn), (gates, res.gate)):
+                for cycle, v in values.items():
+                    merged.setdefault(cycle, []).extend(v)
             del res  # no rule reads the exit logits; free them before the sweep
             value = loss.item()
             if not math.isfinite(value):
@@ -259,7 +262,7 @@ def train(
         losses.append(step_loss)
         if logged:
             _log_step(
-                metrics, step, per_exit_acc, telemetry, _update_ratios(optimizer.params, before),
+                metrics, step, per_exit_acc, zattn, gates, _update_ratios(optimizer.params, before),
                 lr=lr, step_ms=step_s * 1e3, tok_s=tokens_per_step / step_s,
                 grad_norm=_grad_norm(optimizer.params),
             )

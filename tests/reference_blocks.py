@@ -10,7 +10,6 @@ bitwise, outputs and gradients alike.
 import numpy as np
 
 import cycleformer.autodiff as ad
-from cycleformer.errors import ShapeError
 from cycleformer.model import build_causal_mask
 
 
@@ -21,7 +20,9 @@ def reference_embed(ids, params, start=0):
     return ad.add(tok, ad.expand(ad.reshape(pos, (1, t, params.config.d_model)), tok.shape))
 
 
-def reference_attention(h, rec, zkey, n_heads):
+def reference_attention_weights(h, rec, zkey, n_heads):
+    """`reference_attention`'s output with the attention weights it mixed
+    by, (B, heads, T, keys) with key 0 the zero slot if any, as a Tensor."""
     b, t, d = h.shape
     hd = d // n_heads
     x = ad.layer_norm(h, rec.ln1_g, rec.ln1_b)
@@ -44,21 +45,23 @@ def reference_attention(h, rec, zkey, n_heads):
     mix = ad.matmul(weights, v)
     mix = ad.reshape(ad.transpose(mix, (0, 2, 1, 3)), (b * t, d))
     out = ad.reshape(ad.matmul(mix, rec.wo), (b, t, d))
-    h_att = ad.add(h, out)
+    return ad.add(h, out), weights
+
+
+def reference_attention(h, rec, zkey, n_heads):
+    h_att, weights = reference_attention_weights(h, rec, zkey, n_heads)
     zero_attn = weights.data[..., 0].copy() if zkey is not None else None
-    return h_att, zero_attn, weights
+    return h_att, zero_attn
 
 
-def reference_ffn(h, rec, use_gate):
+def reference_ffn(h, rec):
     b, t, d = h.shape
     x = ad.layer_norm(h, rec.ln2_g, rec.ln2_b)
     flat = ad.reshape(x, (b * t, d))
     a = ad.gelu(ad.add_bias(ad.matmul(flat, rec.w1), rec.b1))
     o = ad.add_bias(ad.matmul(a, rec.w2), rec.b2)
     gate_np = None
-    if use_gate:
-        if rec.gate_w is None:
-            raise ShapeError("gating requested but this layer has no gate affine")
+    if rec.gate_w is not None:
         g = ad.sigmoid(ad.add_bias(ad.matmul(flat, rec.gate_w), rec.gate_b))
         o = ad.scale_rows(o, g)
         gate_np = g.data.reshape(b, t).copy()

@@ -1,7 +1,9 @@
 """Step a model's schedule one application at a time, outside `forward`.
 
 Oracles read each application's input hidden state and attention weights
-from here, so they stay independent of the telemetry that evaluation and
+from here. The steps run the op-by-op reference blocks (reference_blocks.py,
+held bitwise equal to the fused ones by test_blocks.py), so the oracles share
+no code with the blocks, or the per-cycle signals, that evaluation and
 decoding read from `forward`.
 """
 from dataclasses import dataclass
@@ -9,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from cycleformer.autodiff import tensor
-from cycleformer.model import attention_with_zero_token, build_schedule, gated_ffn
+from cycleformer.model import build_schedule
+
+from reference_blocks import reference_attention_weights, reference_ffn
 
 
 @dataclass
@@ -29,7 +33,7 @@ def step_applications(ids, params, config) -> list[Application]:
     for layer, cycle in build_schedule(config).applications:
         rec = params.record(layer)
         h_in = h.data
-        h, _, weights = attention_with_zero_token(h, rec, params.pool.get((layer, cycle)), config.n_heads)
-        h, _ = gated_ffn(h, rec, config.use_gate)
+        h, weights = reference_attention_weights(h, rec, params.pool.get((layer, cycle)), config.n_heads)
+        h, _ = reference_ffn(h, rec)
         steps.append(Application(layer, cycle, h_in, weights.data))
     return steps

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +191,7 @@ def test_criterion_02_zero_token_identities(announce):
     rec = params.record(2)
     h = _uniform_rows_hidden(16, 6, seed=10)
     sat = _zkey_for_logit(h[0, 0], rec, 2, +40.0)
-    h_att, zattn, _ = attention_with_zero_token(
+    h_att, zattn = attention_with_zero_token(
         ad.tensor(h, dtype=np.float64), rec, ad.constant(sat, dtype=np.float64), 2
     )
     sat_err = float(np.abs(h_att.data - h).max())
@@ -237,12 +238,12 @@ def test_criterion_03_gate_identities(announce):
     params = init_parameters(cfg, seed=14, dtype=np.float64)
     rec = params.record(2)
     h = ad.tensor(np.random.default_rng(15).normal(size=(2, 5, 16)), dtype=np.float64)
-    ungated, _ = gated_ffn(h, rec, use_gate=False)
+    ungated, _ = gated_ffn(h, replace(rec, gate_w=None, gate_b=None))
     rec.gate_w.data[...] = 0.0
     rec.gate_b.data[...] = +40.0
-    open_out, _ = gated_ffn(h, rec, use_gate=True)
+    open_out, _ = gated_ffn(h, rec)
     rec.gate_b.data[...] = -40.0
-    closed_out, _ = gated_ffn(h, rec, use_gate=True)
+    closed_out, _ = gated_ffn(h, rec)
     open_err = float(np.abs(open_out.data - ungated.data).max())
     closed_err = float(np.abs(closed_out.data - h.data).max())
     ok = open_err <= 1e-6 and closed_err <= 1e-6

@@ -3,10 +3,12 @@ and per FFN application, and one per LM head.
 
 `embed`, `attention_with_zero_token`, `gated_ffn` and `_lm_logits` must match the
 op-by-op chain of standalone tape ops (tests/reference_blocks.py) bitwise in
-float32: outputs, telemetry arrays and every input gradient, alone and
-inside a full multi-exit forward. A float64 finite-difference check covers
-the fused rules on their own.
+float32: outputs, zero-attention and gate arrays and every input gradient,
+alone and inside a full multi-exit forward. A float64 finite-difference
+check covers the fused rules on their own.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,14 +61,14 @@ def block_params(dtype, seed=0):
 def attention_case(zero_key):
     def run(block, h, rec, zkey):
         key = {"param": zkey, "constant": constant(zkey.data), "none": None}[zero_key]
-        out, zattn, weights = block(h, rec, key, HEADS)
-        return out, (zattn, weights.data), [zkey] if zero_key == "param" else []
+        out, zattn = block(h, rec, key, HEADS)
+        return out, (zattn,), [zkey] if zero_key == "param" else []
     return run
 
 
 def ffn_case(use_gate):
     def run(block, h, rec, zkey):
-        out, gate = block(h, rec, use_gate)
+        out, gate = block(h, rec if use_gate else replace(rec, gate_w=None, gate_b=None))
         return out, (gate,), []
     return run
 
@@ -85,7 +87,7 @@ def block_loss(out, targets):
 
 
 def taped_block(block, case, h, rec, zkey, targets):
-    """Output, telemetry arrays, tape length and each input's gradient."""
+    """Output, zero-attention or gate array, tape length and each input's gradient."""
     named = {"h": h, **rec.tensors(), "zkey": zkey}
     for t in named.values():
         t.grad = None
@@ -272,10 +274,10 @@ def test_cached_attention_one_query_at_a_time_matches_the_batch_block(zero_key):
     rec, zkey = block_params(np.float64)
     key = zkey if zero_key else None
     h = constant(np.random.default_rng(7).normal(size=(1, T, D)))
-    want, want_z, _ = attention_with_zero_token(h, rec, key, HEADS)
+    want, want_z = attention_with_zero_token(h, rec, key, HEADS)
     k_rows, v_rows = np.zeros((1, T + 2, D)), np.zeros((1, T + 2, D))
     for pos in range(T):
-        out, z, _ = attention_with_zero_token(
+        out, z = attention_with_zero_token(
             constant(h.data[:, pos : pos + 1]), rec, key, HEADS, cache=(k_rows, v_rows), start=pos
         )
         np.testing.assert_allclose(out.data[0, 0], want.data[0, pos], rtol=1e-12, atol=1e-12)
@@ -300,17 +302,16 @@ def test_cached_attention_several_queries_past_start_match_the_batch_block(zero_
     rec, zkey = block_params(np.float64)
     key = zkey if zero_key else None
     h = constant(np.random.default_rng(9).normal(size=(1, 7, D)))
-    want, want_z, want_w = attention_with_zero_token(h, rec, key, HEADS)
+    want, want_z = attention_with_zero_token(h, rec, key, HEADS)
     rows = (np.zeros((1, 8, D)), np.zeros((1, 8, D)))
-    head, head_z, _ = attention_with_zero_token(
+    head, head_z = attention_with_zero_token(
         constant(h.data[:, :3]), rec, key, HEADS, cache=rows, start=0
     )
-    tail, tail_z, tail_w = attention_with_zero_token(
+    tail, tail_z = attention_with_zero_token(
         constant(h.data[:, 3:]), rec, key, HEADS, cache=rows, start=3
     )
     got = np.concatenate([head.data, tail.data], axis=1)
     np.testing.assert_allclose(got, want.data, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(tail_w.data, want_w.data[:, :, 3:], rtol=1e-12, atol=1e-12)
     if zero_key:
         got_z = np.concatenate([head_z, tail_z], axis=-1)
         np.testing.assert_allclose(got_z, want_z, rtol=1e-12, atol=1e-12)
@@ -327,7 +328,7 @@ def test_cached_attention_refuses_to_record(start):
         with pytest.raises(UsageError, match="cached attention call cannot record"):
             attention_with_zero_token(h, rec, zkey, HEADS, cache=rows, start=start)
     assert len(tape) == 0
-    out, _, _ = attention_with_zero_token(h, rec, zkey, HEADS, cache=rows, start=start)
+    out, _ = attention_with_zero_token(h, rec, zkey, HEADS, cache=rows, start=start)
     assert out.shape == (1, 2, D) and not out.grad_needed
 
 

@@ -346,7 +346,8 @@ def test_exit_threshold_the_model_cannot_apply_exits_2_before_training(workspace
     out = workspace / "run.ckpt"
     assert main(["train", "--config", cfg, "--out", os.fspath(out)]) == 2
     captured = capsys.readouterr()
-    assert "exit_threshold" in captured.err and captured.out == ""
+    assert "exit_threshold=none" in captured.err and captured.out == ""
+    assert f"this {overrides.get('variant', 'ZTT')} model" in captured.err
     assert not out.exists()
 
 

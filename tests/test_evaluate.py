@@ -17,7 +17,7 @@ from cycleformer.evaluate import (
     evaluate,
     format_sweep,
 )
-from cycleformer.model import ModelConfig, init_parameters
+from cycleformer.model import ModelConfig, forward, init_parameters
 
 from exit_oracle import batch_oracle
 
@@ -95,6 +95,30 @@ def test_empty_batches_rejected(kw):
     cfg, params = make_model()
     with pytest.raises(ConfigError):
         evaluate(params, cfg, corpus(), **kw)
+
+
+def test_cycle_stats_weight_each_window_group_by_its_tokens():
+    # Ten windows at batch 4: groups of 4, 4 and 2 windows, so the partial
+    # last group counts half as much as each full one.
+    cfg, params = make_model()
+    t, n_win, batch = cfg.t_max, 10, 4
+    ids = corpus(n_win * t + 1, seed=5)
+    report = evaluate(params, cfg, ids, batch=batch)
+    groups = [
+        np.stack([ids[w * t : w * t + t] for w in range(s, min(s + batch, n_win))])
+        for s in range(0, n_win, batch)
+    ]
+    toks = [g.size for g in groups]
+    assert toks == [4 * t, 4 * t, 2 * t] and report.n_tokens == sum(toks)
+    results = [forward(g, params, cfg) for g in groups]
+    assert [c.cycle for c in report.cycles] == [1, 2, 3]
+    for stat in report.cycles:
+        for name in ("zero_attn", "gate"):
+            per_group = [np.mean(getattr(r, name)[stat.cycle]) for r in results]
+            want = np.dot(per_group, toks) / sum(toks)
+            assert getattr(stat, name) == pytest.approx(want, rel=1e-12, abs=0.0)
+            # The weighting matters: an unweighted mean of the groups differs.
+            assert abs(want - np.mean(per_group)) > 1e-9
 
 
 def test_evaluate_reports_the_same_from_uint16_or_int64_ids():

@@ -1,20 +1,20 @@
 """Model forward: brute-force attention oracle, zero-token identities,
 parameter accounting, retrofit equivalence, full-model gradient checks."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cycleformer.autodiff as ad
 from cycleformer.autodiff import Tape, backward, constant, parameter, tensor
-from cycleformer.adaptive import DecodeCache, decode_step
+from cycleformer.adaptive import DecodeCache, ExitPolicy, decode_step
 from cycleformer.config import RunConfig, model_config
 from cycleformer.errors import ConfigError, DataError, ShapeError
 from cycleformer.model import (
     ModelConfig,
     attention_with_zero_token,
     build_causal_mask,
-    build_schedule,
     forward,
     gated_ffn,
     init_from_vanilla,
@@ -23,6 +23,7 @@ from cycleformer.model import (
 )
 
 from gradcheck import check_grads
+from reference_blocks import reference_attention_weights
 from stepper import step_applications
 
 
@@ -89,11 +90,13 @@ def test_attention_matches_bruteforce_oracle():
     zkey = params.pool[(2, 1)]
     rng = np.random.default_rng(5)
     h = rng.normal(size=(2, 5, 8))
-    got, zattn, w = attention_with_zero_token(tensor(h, dtype=np.float64), rec, zkey, 2)
+    got, zattn = attention_with_zero_token(tensor(h, dtype=np.float64), rec, zkey, 2)
     want, w_want = oracle_attention(h, rec, zkey.data, 2)
     np.testing.assert_allclose(got.data, want, atol=1e-10)
-    np.testing.assert_allclose(w.data, w_want, atol=1e-10)
     np.testing.assert_allclose(zattn, w_want[..., 0], atol=1e-12)
+    # The weights the stepper's oracles read, from the op-by-op block.
+    _, w = reference_attention_weights(tensor(h, dtype=np.float64), rec, zkey, 2)
+    np.testing.assert_allclose(w.data, w_want, atol=1e-10)
 
 
 def test_attention_without_zero_token_matches_oracle():
@@ -102,10 +105,11 @@ def test_attention_without_zero_token_matches_oracle():
     rec = params.record(1)
     rng = np.random.default_rng(6)
     h = rng.normal(size=(1, 4, 8))
-    got, zattn, w = attention_with_zero_token(tensor(h, dtype=np.float64), rec, None, 2)
+    got, zattn = attention_with_zero_token(tensor(h, dtype=np.float64), rec, None, 2)
     want, w_want = oracle_attention(h, rec, None, 2)
     assert zattn is None
     np.testing.assert_allclose(got.data, want, atol=1e-10)
+    _, w = reference_attention_weights(tensor(h, dtype=np.float64), rec, None, 2)
     np.testing.assert_allclose(w.data, w_want, atol=1e-10)
 
 
@@ -113,12 +117,20 @@ def test_attention_rows_sum_to_one_and_future_masked():
     cfg = tiny("ZTT")
     params = random_params(cfg, seed=3)
     rng = np.random.default_rng(7)
-    h = tensor(rng.normal(size=(2, 6, 8)), dtype=np.float64)
-    _, _, w = attention_with_zero_token(h, params.record(2), params.pool[(2, 1)], 2)
+    h = rng.normal(size=(2, 6, 8))
+    rec, zkey = params.record(2), params.pool[(2, 1)]
+    _, w = reference_attention_weights(tensor(h, dtype=np.float64), rec, zkey, 2)
     np.testing.assert_allclose(w.data.sum(axis=-1), np.ones((2, 2, 6)), atol=1e-5)
+    out, zattn = attention_with_zero_token(tensor(h, dtype=np.float64), rec, zkey, 2)
     for t in range(6):
         # Key column j >= 1 is position j-1; strictly future ones carry no mass.
         np.testing.assert_array_equal(w.data[:, :, t, t + 2 :], 0.0)
+        # So the block's output and slot-0 weight at t ignore later positions.
+        later = h.copy()
+        later[:, t + 1 :] = rng.normal(size=later[:, t + 1 :].shape)
+        out_l, zattn_l = attention_with_zero_token(tensor(later, dtype=np.float64), rec, zkey, 2)
+        np.testing.assert_allclose(out_l.data[:, : t + 1], out.data[:, : t + 1], atol=1e-12)
+        np.testing.assert_allclose(zattn_l[..., : t + 1], zattn[..., : t + 1], atol=1e-12)
 
 
 def test_zero_slot_exempt_from_causal_mask():
@@ -127,7 +139,7 @@ def test_zero_slot_exempt_from_causal_mask():
     params = random_params(cfg, seed=4)
     rng = np.random.default_rng(8)
     h = tensor(rng.normal(size=(1, 5, 8)), dtype=np.float64)
-    _, zattn, _ = attention_with_zero_token(h, params.record(2), params.pool[(2, 2)], 2)
+    _, zattn = attention_with_zero_token(h, params.record(2), params.pool[(2, 2)], 2)
     assert np.all(zattn > 0.0)
 
 
@@ -160,7 +172,7 @@ def test_saturated_zero_slot_makes_attention_identity():
     rec = params.record(2)
     h = _uniform_rows_hidden(8, 6, seed=10)
     zkey = _zkey_for_logit(h[0, 0], rec, 2, +40.0)
-    h_att, zattn, _ = attention_with_zero_token(
+    h_att, zattn = attention_with_zero_token(
         tensor(h, dtype=np.float64), rec, constant(zkey, dtype=np.float64), 2
     )
     assert np.all(zattn > 1.0 - 1e-6)
@@ -173,10 +185,10 @@ def test_suppressed_zero_slot_recovers_plain_attention():
     rec = params.record(2)
     h = _uniform_rows_hidden(8, 5, seed=12)
     zkey = _zkey_for_logit(h[0, 0], rec, 2, -40.0)
-    with_z, _, _ = attention_with_zero_token(
+    with_z, _ = attention_with_zero_token(
         tensor(h, dtype=np.float64), rec, constant(zkey, dtype=np.float64), 2
     )
-    without, _, _ = attention_with_zero_token(tensor(h, dtype=np.float64), rec, None, 2)
+    without, _ = attention_with_zero_token(tensor(h, dtype=np.float64), rec, None, 2)
     np.testing.assert_allclose(with_z.data, without.data, atol=1e-6)
 
 
@@ -214,14 +226,14 @@ def test_gate_off_is_exact_and_saturated_gate_matches():
     rec = params.record(2)
     rng = np.random.default_rng(15)
     h = tensor(rng.normal(size=(2, 4, 8)), dtype=np.float64)
-    plain, gate_vals = gated_ffn(h, rec, use_gate=False)
+    plain, gate_vals = gated_ffn(h, replace(rec, gate_w=None, gate_b=None))
     assert gate_vals is None
     rec.gate_w.data[...] = 0.0
     rec.gate_b.data[...] = 40.0
-    saturated, gate_vals = gated_ffn(h, rec, use_gate=True)
+    saturated, gate_vals = gated_ffn(h, rec)
     np.testing.assert_allclose(saturated.data, plain.data, atol=1e-6)
     rec.gate_b.data[...] = -40.0
-    closed, _ = gated_ffn(h, rec, use_gate=True)
+    closed, _ = gated_ffn(h, rec)
     np.testing.assert_allclose(closed.data, h.data, atol=1e-6)
 
 
@@ -230,7 +242,7 @@ def test_gate_values_strictly_inside_unit_interval():
     params = random_params(cfg, seed=16)
     rng = np.random.default_rng(17)
     h = tensor(rng.normal(size=(2, 5, 8)), dtype=np.float64)
-    _, gate_vals = gated_ffn(h, params.record(2), use_gate=True)
+    _, gate_vals = gated_ffn(h, params.record(2))
     assert np.all(gate_vals > 0.0) and np.all(gate_vals < 1.0)
 
 
@@ -275,6 +287,23 @@ def test_adaptive_exit_extremes_are_the_fixed_exits_bitwise():
         forward(np.arange(4), random_params(htc), htc, exit_threshold=0.5)
 
 
+@pytest.mark.parametrize("variant,kw", [("HTC", {}), ("ZTT", {"use_zero_token": False}), ("BC", {})])
+def test_batch_and_decode_refuse_an_exit_threshold_with_one_message(variant, kw):
+    cfg = tiny(variant, l=4, n=2, **kw)
+    params = random_params(cfg)
+    messages = []
+    for call in (
+        lambda: forward(np.arange(4), params, cfg, exit_threshold=0.5),
+        lambda: decode_step(DecodeCache(params, cfg), 1, ExitPolicy(0.5)),
+    ):
+        with pytest.raises(ConfigError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert f"this {variant} model" in messages[0]
+    assert "exit_threshold=none" in messages[0] and "--threshold none" in messages[0]
+
+
 def test_forward_rejects_long_and_bad_inputs():
     cfg = tiny("ZTT", t_max=4)
     params = random_params(cfg, seed=20)
@@ -308,12 +337,15 @@ def test_telemetry_covers_every_cycled_application():
     cfg = tiny("ZTT", l=4, n=3)
     params = random_params(cfg, seed=23)
     res = forward(np.arange(6), params, cfg)
-    seen = [(r.layer, r.cycle) for r in res.telemetry.records]
-    want = [(l, c) for (l, c) in build_schedule(cfg).applications if l in cfg.cycled_layers]
-    assert seen == want
-    for r in res.telemetry.records:
-        assert 0.0 < r.zero_attn < 1.0
-        assert 0.0 < r.gate < 1.0
+    # One value per cycled application, cycle by cycle.
+    want = {c: len(cfg.cycled_layers) for c in range(1, cfg.loop_count + 1)}
+    for per_cycle in (res.zero_attn, res.gate):
+        assert list(per_cycle) == list(want)
+        assert {c: len(v) for c, v in per_cycle.items()} == want
+        assert all(0.0 < x < 1.0 for v in per_cycle.values() for x in v)
+    htc = tiny("HTC", l=4, n=3)
+    plain = forward(np.arange(6), random_params(htc, seed=23), htc)
+    assert plain.zero_attn == {} and plain.gate == {}
 
 
 def test_zero_attention_invariant_to_batch_permutation():
@@ -325,8 +357,10 @@ def test_zero_attention_invariant_to_batch_permutation():
     a = forward(ids, params, cfg)
     b = forward(ids[perm], params, cfg)
     np.testing.assert_allclose(a.logits.data[perm], b.logits.data, atol=1e-12)
-    for ra, rb in zip(a.telemetry.records, b.telemetry.records):
-        assert math.isclose(ra.zero_attn, rb.zero_attn, abs_tol=1e-6)
+    assert a.zero_attn.keys() == b.zero_attn.keys()
+    for c in a.zero_attn:
+        for za, zb in zip(a.zero_attn[c], b.zero_attn[c], strict=True):
+            assert math.isclose(za, zb, abs_tol=1e-6)
 
 
 def closed_form_param_count(cfg):

@@ -460,7 +460,7 @@ def test_train_reduces_loss_and_logs(tmp_path):
     assert rows[0] == METRICS_HEADER
     steps_seen = {int(r.split(",")[0]) for r in rows[1:]}
     assert {0, 10, 20, 29} <= steps_seen
-    # telemetry rows carry cycle-level zero-attention and gate means
+    # per-cycle rows carry the cycle's zero-attention and gate means
     assert any(r.split(",")[5] != "" and r.split(",")[6] != "" for r in rows[1:])
 
 
@@ -656,18 +656,20 @@ def test_grad_accum_logs_telemetry_of_every_micro_batch(tmp_path):
         train(cfg, plan, ids, metrics=metrics)
     header = METRICS_HEADER.split(",")
     rows = [dict(zip(header, r.split(","))) for r in open(path).read().splitlines()[1:]]
-    logged = {int(r["cycle"]): float(r["zero_attn_mean"]) for r in rows if r["cycle"]}
 
     params = init_parameters(cfg, seed=plan.seed)
     bp = BatchPlan(seq_len=cfg.t_max, batch=plan.batch, seed=plan.seed)
     per_micro = [
-        forward(next_batch(bp, ids, micro)[0], params, cfg, capture_exits=True)
-        .telemetry.zero_attn_by_cycle()
-        for micro in range(2)
+        forward(next_batch(bp, ids, micro)[0], params, cfg, capture_exits=True) for micro in range(2)
     ]
-    assert logged.keys() == per_micro[0].keys()
-    for cycle, z in logged.items():
-        assert z == pytest.approx((per_micro[0][cycle] + per_micro[1][cycle]) / 2, rel=1e-5)
+    for field, column in (("zero_attn", "zero_attn_mean"), ("gate", "gate_mean")):
+        logged = {int(r["cycle"]): float(r[column]) for r in rows if r["cycle"]}
+        first, second = (getattr(res, field) for res in per_micro)
+        assert logged.keys() == first.keys() == {1, 2}
+        for cycle, value in logged.items():
+            # The mean over both micro-batches' applications of the cycle.
+            want = sum(first[cycle] + second[cycle]) / (len(first[cycle]) + len(second[cycle]))
+            assert value == pytest.approx(want, rel=1e-5)
 
 
 def test_train_vanilla_single_exit():
