@@ -59,14 +59,6 @@ class ExitPolicy:
         return self.threshold is not None
 
 
-def exit_cycle(trace, threshold: float) -> int | None:
-    """First 1-based cycle whose aggregate reaches threshold, else None."""
-    for i, v in enumerate(trace, start=1):
-        if v >= threshold:
-            return i
-    return None
-
-
 class _Slot:
     __slots__ = ("k", "v", "filled")
 

@@ -17,6 +17,8 @@ the shape the vanilla-to-cycled retrofit produces.
 """
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -638,6 +640,46 @@ def _lm_logits(h: Tensor, params: ModelParameters) -> Tensor:
     return ad._finish(logits, rule, *inputs)
 
 
+# The one daemon thread that runs an untaped forward's exit branches, and its
+# task queue; started on first use.
+_helper: tuple[threading.Thread, queue.SimpleQueue] | None = None
+_helper_lock = threading.Lock()
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """The helper's loop: run each (fn, arg, reply) task in arrival order and
+    put (result, None) or (None, the exception) on its reply queue."""
+    while True:
+        fn, arg, reply = tasks.get()
+        try:
+            reply.put((fn(arg), None))
+        except BaseException as exc:  # re-raised by the caller
+            reply.put((None, exc))
+
+
+def _on_helper(fn, arg):
+    """Queue fn(arg) for the helper thread, starting it if it does not run
+    (also in a child forked after it started). Returns a function that waits
+    for the result and returns it, or re-raises its exception."""
+    global _helper
+    reply = queue.SimpleQueue()
+    with _helper_lock:
+        if _helper is None or not _helper[0].is_alive():
+            tasks = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(tasks,), name="cycleformer-exits", daemon=True)
+            thread.start()
+            _helper = (thread, tasks)
+        _helper[1].put((fn, arg, reply))
+
+    def result():
+        value, exc = reply.get()
+        if exc is not None:
+            raise exc
+        return value
+
+    return result
+
+
 def forward(
     ids: np.ndarray,
     params: ModelParameters,
@@ -661,6 +703,16 @@ def forward(
     emits for that position, and `exit_cycle` its exit. The gather is not
     recorded, so no gradient reaches the stream through `adaptive_logits`.
     It needs a model whose `supports_adaptive_exit` holds.
+
+    No cycle reads an exit branch, so an untaped forward (no active `Tape`:
+    `evaluate`, CLI `eval`, the sweep's scoring) hands each branch's tail
+    and LM head for cycles n < N, and the gathered tail, to one daemon
+    helper thread, started on first use, while this thread runs the next
+    cycle and then the final tail. Results are collected in exit order, an
+    exception raised on the helper is re-raised here, and every output is
+    bitwise that of the one-thread walk. A recording forward (every train
+    step) never leaves the caller's thread, so the tape's order is the
+    one-thread walk's.
     """
     config.check_exit_threshold(exit_threshold)
     ids = np.asarray(ids)
@@ -692,6 +744,16 @@ def forward(
             h = apply(h, idx)[0]
         return _lm_logits(h, params)
 
+    untaped = ad._ACTIVE_TAPE.get() is None
+
+    def branch(h: Tensor):
+        """finish(h), as a function that returns it: queued on the helper
+        when untaped, else run here and now, in the tape's order."""
+        if untaped:
+            return _on_helper(finish, h)
+        logits = finish(h)
+        return lambda: logits
+
     for idx in schedule.pre:
         h = apply(h, idx)[0]
     last = len(schedule.by_cycle)
@@ -708,15 +770,22 @@ def forward(
             if gate_np is not None:
                 gate.setdefault(n, []).append(float(gate_np.mean()))
         if capture_exits and n < last:
-            exits.append(finish(h))
+            exits.append(branch(h))
         if exit_at is not None:
             exiting = exit_at == 0
             if n < last:
                 exiting &= aggregate([z.mean(axis=1) for z in signals]) >= exit_threshold
             exit_at[exiting] = n
             h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
-    exits.append(finish(h))
-    adaptive = None if h_exit is None else finish(Tensor(h_exit))
+    # Untaped, the gathered tail runs on the helper beside the final tail here;
+    # under a tape it runs after the final tail, the order it always recorded.
+    gathered = None if h_exit is None else Tensor(h_exit)
+    adaptive = branch(gathered) if gathered is not None and untaped else None
+    final = finish(h)
+    if gathered is not None and not untaped:
+        adaptive = branch(gathered)
+    exits = [result() for result in exits] + [final]
+    adaptive = None if adaptive is None else adaptive()
     if squeeze:
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
         if adaptive is not None:

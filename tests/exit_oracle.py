@@ -11,12 +11,19 @@ import math
 
 import numpy as np
 
-from cycleformer.adaptive import exit_cycle
 from cycleformer.autodiff import softmax_np
 from cycleformer.model import build_schedule
 
 from oracle_kernels import gelu_np, layer_norm_np
 from stepper import step_applications
+
+
+def exit_cycle(trace, threshold: float) -> int | None:
+    """First 1-based cycle whose aggregate reaches threshold, else None."""
+    for i, v in enumerate(trace, start=1):
+        if v >= threshold:
+            return i
+    return None
 
 
 def batch_oracle(params, cfg, ids, threshold):

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from cycleformer import autodiff as ad
-from cycleformer.adaptive import DecodeCache, ExitPolicy, decode_step, exit_cycle, generate
+from cycleformer.adaptive import DecodeCache, ExitPolicy, decode_step, generate
 from cycleformer.checkpoint import load_checkpoint, save_checkpoint, save_model
 from cycleformer.data import ByteVocabulary, load_corpus, make_synthetic_corpus, split_corpus
 from cycleformer.evaluate import evaluate
@@ -42,6 +42,7 @@ from cycleformer.model import (
 from cycleformer.optim import AdamW
 from cycleformer.train import TrainPlan, multi_exit_loss, train
 
+from exit_oracle import exit_cycle
 from gradcheck import check_grads
 from stepper import step_applications
 from test_model import _uniform_rows_hidden, _zkey_for_logit, closed_form_param_count

@@ -18,7 +18,6 @@ from cycleformer.adaptive import (
     DecodeCache,
     ExitPolicy,
     decode_step,
-    exit_cycle,
     generate,
 )
 from cycleformer.autodiff import softmax_np
@@ -28,7 +27,7 @@ from cycleformer.errors import ConfigError, ShapeError, UsageError
 from cycleformer.evaluate import evaluate
 from cycleformer.model import ModelConfig, forward, init_parameters
 
-from exit_oracle import batch_oracle, pick_mixed_threshold
+from exit_oracle import batch_oracle, exit_cycle, pick_mixed_threshold
 
 PINNED_TRACE = [0.21, 0.47, 0.54, 0.65]
 

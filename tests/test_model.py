@@ -1,12 +1,15 @@
 """Model forward: brute-force attention oracle, zero-token identities,
 parameter accounting, retrofit equivalence, full-model gradient checks."""
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cycleformer.autodiff as ad
+import cycleformer.model as model_mod
 from cycleformer.autodiff import Tape, backward, constant, parameter, tensor
 from cycleformer.adaptive import DecodeCache, ExitPolicy, decode_step
 from cycleformer.config import RunConfig, model_config
@@ -361,6 +364,128 @@ def test_zero_attention_invariant_to_batch_permutation():
     for c in a.zero_attn:
         for za, zb in zip(a.zero_attn[c], b.zero_attn[c], strict=True):
             assert math.isclose(za, zb, abs_tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# exit branches on the helper thread
+
+
+def assert_same_forward(a, b):
+    """Every exit's logits, adaptive_logits and exit_cycle bitwise equal,
+    and the per-cycle zero_attn and gate means equal."""
+    assert len(a.exit_logits) == len(b.exit_logits)
+    for x, y in zip(a.exit_logits, b.exit_logits):
+        np.testing.assert_array_equal(x.data, y.data)
+    assert (a.adaptive_logits is None) == (b.adaptive_logits is None)
+    if a.adaptive_logits is not None:
+        np.testing.assert_array_equal(a.adaptive_logits.data, b.adaptive_logits.data)
+        np.testing.assert_array_equal(a.exit_cycle, b.exit_cycle)
+    assert (a.zero_attn, a.gate) == (b.zero_attn, b.gate)
+
+
+def _spy_threads(monkeypatch):
+    """Record the thread of every LM-head call forward makes."""
+    threads = []
+    inner = model_mod._lm_logits
+
+    def spy(h, params):
+        threads.append(threading.current_thread())
+        return inner(h, params)
+
+    monkeypatch.setattr(model_mod, "_lm_logits", spy)
+    return threads
+
+
+@pytest.mark.parametrize("variant,kw,thresholds", [
+    ("V", {"n": 1}, [None]),
+    ("BC", {}, [None]),
+    ("HTC", {}, [None]),
+    ("HTC", {"use_zero_token": True}, [None, 0.5, 1.0]),
+    ("ZTT", {}, [None, 0.5, 1.0]),
+])
+def test_untaped_forward_is_bitwise_the_taped_one(variant, kw, thresholds, monkeypatch):
+    kw = {"l": 4, "n": 3, "d": 16, "heads": 4, "dff": 32, **kw}
+    cfg = tiny(variant, **kw)
+    params = init_parameters(cfg, seed=27, dtype=np.float32)
+    ids = np.random.default_rng(28).integers(0, cfg.vocab, size=(3, 7))
+    caller = threading.current_thread()
+    threads = _spy_threads(monkeypatch)
+    for threshold in thresholds:
+        threads.clear()
+        with Tape() as tape:
+            taped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
+        assert len(tape) > 0 and threads and set(threads) == {caller}
+        threads.clear()
+        untaped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
+        # Exit branches and the gathered tail ran on the helper, the final
+        # tail here; V has no branch to hand over.
+        helper = len(untaped.exit_logits) - 1 + (threshold is not None)
+        assert sum(t is not caller for t in threads) == helper
+        assert threads.count(caller) == 1
+        assert len(untaped.exit_logits) == cfg.n_exits
+        assert_same_forward(taped, untaped)
+
+
+def test_a_branch_error_on_the_helper_is_raised_by_the_caller(monkeypatch):
+    cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
+    params = init_parameters(cfg, seed=29, dtype=np.float32)
+    ids = np.random.default_rng(30).integers(0, cfg.vocab, size=(2, 6))
+    want = forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
+    caller = threading.current_thread()
+    inner = model_mod._lm_logits
+    failed = []
+
+    def fail_once_on_the_helper(h, params):
+        if threading.current_thread() is not caller and not failed:
+            failed.append(threading.current_thread())
+            raise RuntimeError("exit branch failed")
+        return inner(h, params)
+
+    monkeypatch.setattr(model_mod, "_lm_logits", fail_once_on_the_helper)
+    with pytest.raises(RuntimeError, match="exit branch failed"):
+        forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
+    assert len(failed) == 1
+    assert_same_forward(want, forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5))
+
+
+def test_concurrent_untaped_forwards_share_one_helper_and_get_their_own_results():
+    # Four callers on two cores, switching threads every microsecond: each
+    # gets its own batch's outputs back, and all of them share one helper.
+    cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
+    params = init_parameters(cfg, seed=31, dtype=np.float32)
+    rng = np.random.default_rng(32)
+    batches = [rng.integers(0, cfg.vocab, size=(2, 6)) for _ in range(4)]
+
+    def run(ids):
+        return forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
+
+    want = [run(ids) for ids in batches]
+    got: dict[int, list] = {i: [] for i in range(len(batches))}
+    errors = []
+
+    def caller(i):
+        try:
+            for _ in range(5):
+                got[i].append(run(batches[i]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert sum(t.name == "cycleformer-exits" for t in threading.enumerate()) == 1
+    for i, runs in got.items():
+        assert len(runs) == 5
+        for res in runs:
+            assert_same_forward(want[i], res)
 
 
 def closed_form_param_count(cfg):

@@ -1,6 +1,8 @@
 """Training loop: schedule shape, loss plumbing, determinism, resume."""
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
@@ -16,6 +18,7 @@ from cycleformer.data import BatchPlan, make_synthetic_corpus, next_batch
 from cycleformer.errors import ConfigError, TrainingDiverged
 from cycleformer.model import ModelConfig, forward, init_parameters
 from cycleformer.optim import AdamW
+import cycleformer
 import cycleformer.train as train_mod
 from cycleformer.train import (
     METRICS_HEADER,
@@ -680,3 +683,25 @@ def test_train_vanilla_single_exit():
     result = train(cfg, TrainPlan(steps=6, batch=2, lr=2e-3, seed=1), tiny_corpus(seed=1))
     assert len(result.losses) == 6
     assert all(math.isfinite(v) for v in result.losses)
+
+
+def test_a_canonical_train_step_starts_no_thread():
+    # Every train forward records, so no exit branch leaves the caller's
+    # thread and the helper never starts. A fresh interpreter, so no earlier
+    # test's untaped forward has started it already.
+    code = (
+        "import threading\n"
+        "from cycleformer.config import RunConfig, model_config\n"
+        "from cycleformer.data import ByteVocabulary, make_synthetic_corpus\n"
+        "from cycleformer.train import TrainPlan, train\n"
+        "cfg = model_config(RunConfig(early_exit_heads=True))\n"
+        "ids = ByteVocabulary().encode(make_synthetic_corpus(4000, seed=0))\n"
+        "train(cfg, TrainPlan(steps=1, batch=8), ids)\n"
+        "print(threading.active_count())\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cycleformer.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["1"]
