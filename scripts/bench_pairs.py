@@ -11,8 +11,8 @@ checkout: one pair. The parent runs first in the first pair, the change in
 the second, and so on, so a drift of the machine's speed hits both sides
 alike. `--workload` may repeat; each workload runs all its pairs in turn.
 
-For each workload the file holds every run's end-to-end metrics, the
-manifest line `run.py` printed for each side's first run, and, per metric:
+One set of pairs holds every run's end-to-end metrics, the manifest line
+`run.py` printed for each side's first run, and, per metric:
 each side's median and quartiles (inclusive method), how many pairs the
 change won (strictly better in the metric's direction), and two verdicts:
 
@@ -21,10 +21,15 @@ change won (strictly better in the metric's direction), and two verdicts:
 - `within_bound`: the change's median is worse than the parent's by at most
   the metric's `bound`, a fraction of the parent's median.
 
-A workload's `no_regression` holds when every metric is within its bound and
-the change fails no larger share of its operations than the parent. An
-existing output file keeps its other workloads, so several invocations can
-fill one file.
+A set's `no_regression` holds when every metric is within its bound and the
+change fails no larger share of its operations than the parent.
+
+Each invocation appends one set of pairs per workload to the output file and
+keeps every earlier set, so the file reports every run made. Over a
+workload's sets, `across_sets` gives per metric each set's `worse_by`, their
+spread, the margin from the worst of them to the bound, and `resolved`: the
+spread is smaller than that margin, so the sets agree on the verdict. A
+metric whose sets spread wider than its margin is unresolved, not unchanged.
 """
 from __future__ import annotations
 
@@ -133,6 +138,17 @@ def summarize(bench: dict, runs: list[dict]) -> dict:
     }
 
 
+def across_sets(sets: list[dict]) -> dict:
+    """Per metric, how far the change's median is worse in each set, and
+    whether the sets' spread leaves the bound verdict resolved."""
+    out = {}
+    for name, first in sets[0]["metrics"].items():
+        worse = [s["metrics"][name]["worse_by"] for s in sets]
+        spread, margin = max(worse) - min(worse), first["bound"] - max(worse)
+        out[name] = {"worse_by": worse, "spread": spread, "margin": margin, "resolved": spread < margin}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -154,11 +170,15 @@ def main(argv=None) -> int:
     out["benchmark"] = {"command": bench["command"], "run_seconds": bench["run_seconds"], "trace": 0}
     workloads = out.setdefault("workloads", {})
     for workload in args.workload:
-        workloads[workload] = run_pairs(args.parent, args.change, bench, workload, args.seeds)
+        entry = workloads.setdefault(workload, {"sets": []})
+        verdict = run_pairs(args.parent, args.change, bench, workload, args.seeds)
+        entry["sets"].append(verdict)
+        entry["across_sets"] = across_sets(entry["sets"])
         args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-        verdict = workloads[workload]
         claims = [name for name, m in verdict["metrics"].items() if m["claim_holds"]]
-        print(f"{workload}: no_regression {verdict['no_regression']}, claim holds for {claims or 'none'}")
+        unresolved = [name for name, m in entry["across_sets"].items() if not m["resolved"]]
+        print(f"{workload}: no_regression {verdict['no_regression']}, claim holds for {claims or 'none'}, "
+              f"unresolved over {len(entry['sets'])} set(s): {unresolved or 'none'}")
     return 0
 
 

@@ -640,9 +640,9 @@ def _lm_logits(h: Tensor, params: ModelParameters) -> Tensor:
     return ad._finish(logits, rule, *inputs)
 
 
-# The one daemon thread that runs an untaped forward's exit branches, and its
-# task queue; started on first use.
-_helper: tuple[threading.Thread, queue.SimpleQueue] | None = None
+# The task queue of the one daemon thread that runs an untaped forward's exit
+# branches; the thread starts on first use.
+_helper_tasks: queue.SimpleQueue | None = None
 _helper_lock = threading.Lock()
 
 
@@ -657,27 +657,27 @@ def _serve(tasks: queue.SimpleQueue) -> None:
             reply.put((None, exc))
 
 
-def _on_helper(fn, arg):
-    """Queue fn(arg) for the helper thread, starting it if it does not run
-    (also in a child forked after it started). Returns a function that waits
-    for the result and returns it, or re-raises its exception."""
-    global _helper
+def _on_helper(fn, arg) -> queue.SimpleQueue:
+    """Queue fn(arg) for the helper thread, starting it on first use. The
+    returned queue gets (result, None), or (None, the exception)."""
+    global _helper_tasks
     reply = queue.SimpleQueue()
     with _helper_lock:
-        if _helper is None or not _helper[0].is_alive():
-            tasks = queue.SimpleQueue()
-            thread = threading.Thread(target=_serve, args=(tasks,), name="cycleformer-exits", daemon=True)
-            thread.start()
-            _helper = (thread, tasks)
-        _helper[1].put((fn, arg, reply))
+        if _helper_tasks is None:
+            _helper_tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper_tasks,), name="cycleformer-exits", daemon=True).start()
+        _helper_tasks.put((fn, arg, reply))
+    return reply
 
-    def result():
-        value, exc = reply.get()
+
+def _collect(replies: list[queue.SimpleQueue]) -> list:
+    """Wait for every queued task; return their results in order, or raise
+    the first one's exception once all of them have finished."""
+    outcomes = [reply.get() for reply in replies]
+    for _, exc in outcomes:
         if exc is not None:
             raise exc
-        return value
-
-    return result
+    return [value for value, _ in outcomes]
 
 
 def forward(
@@ -710,9 +710,10 @@ def forward(
     helper thread, started on first use, while this thread runs the next
     cycle and then the final tail. Results are collected in exit order, an
     exception raised on the helper is re-raised here, and every output is
-    bitwise that of the one-thread walk. A recording forward (every train
-    step) never leaves the caller's thread, so the tape's order is the
-    one-thread walk's.
+    bitwise that of the one-thread walk. The call returns or raises only
+    once every task it queued has finished, so no work of a failed call
+    outlives it. A recording forward (every train step) never leaves the
+    caller's thread.
     """
     config.check_exit_threshold(exit_threshold)
     ids = np.asarray(ids)
@@ -745,14 +746,12 @@ def forward(
         return _lm_logits(h, params)
 
     untaped = ad._ACTIVE_TAPE.get() is None
+    # Each exit branch's and the gathered tail's logits; untaped, the helper's
+    # reply queue for them instead.
+    branches: list = []
 
-    def branch(h: Tensor):
-        """finish(h), as a function that returns it: queued on the helper
-        when untaped, else run here and now, in the tape's order."""
-        if untaped:
-            return _on_helper(finish, h)
-        logits = finish(h)
-        return lambda: logits
+    def branch(h: Tensor) -> None:
+        branches.append(_on_helper(finish, h) if untaped else finish(h))
 
     for idx in schedule.pre:
         h = apply(h, idx)[0]
@@ -760,32 +759,35 @@ def forward(
     exit_at = h_exit = None
     if exit_threshold is not None:
         exit_at = np.zeros((b, t), dtype=np.int64)  # 0: not exited yet
-    for n, cycle_apps in schedule.by_cycle.items():
-        signals = []
-        for idx in cycle_apps:
-            h, zattn, gate_np = apply(h, idx)
-            if zattn is not None:
-                signals.append(zattn)
-                zero_attn.setdefault(n, []).append(float(zattn.mean()))
-            if gate_np is not None:
-                gate.setdefault(n, []).append(float(gate_np.mean()))
-        if capture_exits and n < last:
-            exits.append(branch(h))
-        if exit_at is not None:
-            exiting = exit_at == 0
-            if n < last:
-                exiting &= aggregate([z.mean(axis=1) for z in signals]) >= exit_threshold
-            exit_at[exiting] = n
-            h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
-    # Untaped, the gathered tail runs on the helper beside the final tail here;
-    # under a tape it runs after the final tail, the order it always recorded.
-    gathered = None if h_exit is None else Tensor(h_exit)
-    adaptive = branch(gathered) if gathered is not None and untaped else None
-    final = finish(h)
-    if gathered is not None and not untaped:
-        adaptive = branch(gathered)
-    exits = [result() for result in exits] + [final]
-    adaptive = None if adaptive is None else adaptive()
+    try:
+        for n, cycle_apps in schedule.by_cycle.items():
+            signals = []
+            for idx in cycle_apps:
+                h, zattn, gate_np = apply(h, idx)
+                if zattn is not None:
+                    signals.append(zattn)
+                    zero_attn.setdefault(n, []).append(float(zattn.mean()))
+                if gate_np is not None:
+                    gate.setdefault(n, []).append(float(gate_np.mean()))
+            if capture_exits and n < last:
+                branch(h)
+            if exit_at is not None:
+                exiting = exit_at == 0
+                if n < last:
+                    exiting &= aggregate([z.mean(axis=1) for z in signals]) >= exit_threshold
+                exit_at[exiting] = n
+                h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
+        if h_exit is not None:
+            branch(Tensor(h_exit))
+        final = finish(h)
+    except BaseException:
+        if untaped:
+            for reply in branches:
+                reply.get()
+        raise
+    exits = _collect(branches) if untaped else branches
+    adaptive = None if h_exit is None else exits.pop()
+    exits.append(final)
     if squeeze:
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
         if adaptive is not None:

@@ -77,3 +77,19 @@ def test_no_regression_needs_every_bound_and_no_more_failures():
     for r in runs:
         r["change"]["metrics"]["step_ms_p50"]["value"] = 70.0
     assert not bench_pairs.summarize(SPEC, runs)["no_regression"]
+
+
+def _set(worse_by, bound=0.25):
+    return {"metrics": {"step_ms_p90": {"worse_by": worse_by, "bound": bound}}}
+
+
+def test_sets_that_spread_wider_than_the_margin_leave_a_metric_unresolved():
+    # Three sets of one change read +23%, +9.9% and +5.7% against a 25% bound:
+    # each is within it, but the spread (17.3 points) exceeds the 2-point margin.
+    got = bench_pairs.across_sets([_set(0.23), _set(0.099), _set(0.057)])["step_ms_p90"]
+    assert got["worse_by"] == [0.23, 0.099, 0.057]
+    assert got["spread"] == pytest.approx(0.173) and got["margin"] == pytest.approx(0.02)
+    assert not got["resolved"]
+    got = bench_pairs.across_sets([_set(-0.02), _set(0.03)])["step_ms_p90"]
+    assert got["resolved"]  # spread 5 points, margin 22
+    assert not bench_pairs.across_sets([_set(0.3)])["step_ms_p90"]["resolved"]  # over the bound

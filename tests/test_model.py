@@ -3,6 +3,7 @@ parameter accounting, retrofit equivalence, full-model gradient checks."""
 import math
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -445,6 +446,32 @@ def test_a_branch_error_on_the_helper_is_raised_by_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="exit branch failed"):
         forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
     assert len(failed) == 1
+    assert_same_forward(want, forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5))
+
+
+def test_a_failed_forward_raises_only_after_its_helper_tasks_finish(monkeypatch):
+    # The caller's own final tail raises while the helper is still busy with
+    # the slow exit branches: forward waits for all three before it raises.
+    cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
+    params = init_parameters(cfg, seed=33, dtype=np.float32)
+    ids = np.random.default_rng(34).integers(0, cfg.vocab, size=(2, 6))
+    want = forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
+    caller = threading.current_thread()
+    inner = model_mod._lm_logits
+    finished = []
+
+    def slow_on_the_helper_failing_here(h, params):
+        if threading.current_thread() is caller:
+            raise RuntimeError("final tail failed")
+        time.sleep(0.05)
+        finished.append(inner(h, params))
+        return finished[-1]
+
+    monkeypatch.setattr(model_mod, "_lm_logits", slow_on_the_helper_failing_here)
+    with pytest.raises(RuntimeError, match="final tail failed"):
+        forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
+    assert len(finished) == cfg.n_exits  # exits 1 and 2, and the gathered tail
+    monkeypatch.setattr(model_mod, "_lm_logits", inner)
     assert_same_forward(want, forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5))
 
 
