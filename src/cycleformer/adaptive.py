@@ -31,11 +31,11 @@ from .model import (
     ModelConfig,
     ModelParameters,
     _lm_logits,
-    aggregate,
     attention_with_zero_token,
     build_schedule,
     embed,
     gated_ffn,
+    halts,
     token_ids,
 )
 from .data import BOS_ID
@@ -147,7 +147,7 @@ def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = N
             zvals.append(zmean)
         cache.h_mid[t] = h
         cache.depth[t] = n
-        if policy.adaptive and aggregate(zvals) >= policy.threshold:
+        if policy.adaptive and halts(zvals, policy.threshold):
             used = n
             break
     for s in schedule.post:

@@ -150,6 +150,11 @@ def aggregate(values):
     return sum(values) / len(values)
 
 
+def halts(signals, threshold: float):
+    """The exit rule: a cycle's aggregated zero-attention reaches `threshold`."""
+    return aggregate(signals) >= threshold
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -440,12 +445,12 @@ def attention_with_zero_token(
     return h_att, zero_attn
 
 
-# Rows per chunk of the FFN's elementwise (B*T, d_ff) work: a chunk's tanh
-# term (and in backward `gelu_grad`'s two temporaries) live in cache, not as
-# full (B*T, d_ff) arrays; the GELU output is written over its input. The GEMMs
-# stay whole: OpenBLAS takes other kernels for a few rows (under 16 rows at
-# d_ff=512), so a row-chunked product is not bitwise the whole one. At 64 rows
-# the chunk temporaries set the backward's memory peak for small batches.
+# Rows per chunk of the FFN backward's elementwise (B*T, d_ff) work, so a
+# chunk's tanh term and `gelu_grad`'s two temporaries live in cache. The forward
+# takes its GELU in one pass: two threads' per-chunk calls contend for the GIL.
+# The GEMMs stay whole: OpenBLAS takes other kernels for a few rows (under 16
+# at d_ff=512), so a row-chunked product is not bitwise the whole one. At 64
+# rows the chunk temporaries set the backward's memory peak for small batches.
 FFN_CHUNK_ROWS = 32
 
 
@@ -458,12 +463,12 @@ def gated_ffn(h: Tensor, rec: LayerParameters) -> tuple[Tensor, np.ndarray | Non
     Returns (h + update, the gate per (batch, position) or None).
 
     One tape record covers the block. It saves the layer norm's xhat and inv
-    and, with the gate, the gate. The GELU output is finished in place over
-    its input from the tanh term, FFN_CHUNK_ROWS rows at a time, in one
-    (B*T, d_ff) buffer that dies with the forward. Backward rebuilds the
-    layer norm output and, from it, that buffer with the forward's GEMM and
-    bias add, turning the upstream gradient into the GELU input's chunk by
-    chunk on the way. The GELU and its gradient are elementwise, so the
+    and, with the gate, the gate. The forward finishes the GELU output in
+    place over its input from the tanh term, in one pass, in one (B*T, d_ff)
+    buffer that dies with the forward. Backward rebuilds the layer norm
+    output and, from it, that buffer with the forward's GEMM and bias add,
+    turning the upstream gradient into the GELU input's FFN_CHUNK_ROWS rows
+    at a time on the way. The GELU and its gradient are elementwise, so the
     chunks' bits are those of one full-array pass. With the gate, backward
     also rebuilds the ungated output from that buffer with the forward's
     GEMM and bias add, for the gate's gradient.
@@ -481,14 +486,13 @@ def gated_ffn(h: Tensor, rec: LayerParameters) -> tuple[Tensor, np.ndarray | Non
     chunks = [slice(r, r + FFN_CHUNK_ROWS) for r in range(0, n, FFN_CHUNK_ROWS)]
 
     def gelu(flat, g_pre=None):
-        """GELU(flat @ w1 + b1) in one fresh (n, d_ff) buffer, which holds
-        the GELU input until each chunk's output is written over it. With
-        `g_pre`, each chunk of it is first turned in place into the GELU
-        input's gradient."""
+        """GELU(flat @ w1 + b1) written over its input in one fresh (n, d_ff)
+        buffer, in one pass; with `g_pre`, chunk by chunk, each chunk of
+        `g_pre` first turned in place into the GELU input's gradient."""
         act = np.matmul(flat, w1)
         del flat  # the rule's rebuilt layer norm output dies before the loop
         act += b1  # the bias in place, as in the attention's scores
-        for c in chunks:
+        for c in (slice(None),) if g_pre is None else chunks:
             x = act[c]
             tanh_term = ad._gelu_tanh(x)
             if g_pre is None:
@@ -640,44 +644,79 @@ def _lm_logits(h: Tensor, params: ModelParameters) -> Tensor:
     return ad._finish(logits, rule, *inputs)
 
 
-# The task queue of the one daemon thread that runs an untaped forward's exit
-# branches; the thread starts on first use.
+# The task queue of the one daemon thread that walks half of an untaped
+# forward's batch; the thread starts on first use.
 _helper_tasks: queue.SimpleQueue | None = None
 _helper_lock = threading.Lock()
 
 
 def _serve(tasks: queue.SimpleQueue) -> None:
-    """The helper's loop: run each (fn, arg, reply) task in arrival order and
+    """The helper's loop: run each (fn, args, reply) task in arrival order and
     put (result, None) or (None, the exception) on its reply queue."""
     while True:
-        fn, arg, reply = tasks.get()
+        fn, args, reply = tasks.get()
         try:
-            reply.put((fn(arg), None))
+            reply.put((fn(*args), None))
         except BaseException as exc:  # re-raised by the caller
             reply.put((None, exc))
 
 
-def _on_helper(fn, arg) -> queue.SimpleQueue:
-    """Queue fn(arg) for the helper thread, starting it on first use. The
+def _on_helper(fn, *args) -> queue.SimpleQueue:
+    """Queue fn(*args) for the helper thread, starting it on first use. The
     returned queue gets (result, None), or (None, the exception)."""
     global _helper_tasks
     reply = queue.SimpleQueue()
     with _helper_lock:
         if _helper_tasks is None:
             _helper_tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_helper_tasks,), name="cycleformer-exits", daemon=True).start()
-        _helper_tasks.put((fn, arg, reply))
+            threading.Thread(target=_serve, args=(_helper_tasks,), name="cycleformer-walk", daemon=True).start()
+        _helper_tasks.put((fn, args, reply))
     return reply
 
 
-def _collect(replies: list[queue.SimpleQueue]) -> list:
-    """Wait for every queued task; return their results in order, or raise
-    the first one's exception once all of them have finished."""
-    outcomes = [reply.get() for reply in replies]
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in outcomes]
+def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
+          capture_exits: bool, exit_threshold: float | None) -> tuple:
+    """`forward`'s walk of the schedule over (B, T) ids, on one thread.
+    Returns (each exit's logits, full depth last; the gathered logits and
+    exit_at, or None; per cycle, its zero-attention and gate arrays)."""
+    schedule = build_schedule(config)
+
+    def apply(h: Tensor, idx: int) -> tuple[Tensor, np.ndarray | None, np.ndarray | None]:
+        layer, cycle = schedule.applications[idx]
+        rec = params.record(layer)
+        h, zattn = attention_with_zero_token(h, rec, params.pool.get((layer, cycle)), config.n_heads)
+        h, gate_np = gated_ffn(h, rec)
+        return h, zattn, gate_np
+
+    def finish(h: Tensor) -> Tensor:
+        for idx in schedule.post:
+            h = apply(h, idx)[0]
+        return _lm_logits(h, params)
+
+    h = embed(ids, params)
+    for idx in schedule.pre:
+        h = apply(h, idx)[0]
+    zero_attn, gate, exits = {}, {}, []
+    last = len(schedule.by_cycle)
+    h_exit = None
+    exit_at = None if exit_threshold is None else np.zeros(ids.shape, dtype=np.int64)  # 0: not exited
+    for n, cycle_apps in schedule.by_cycle.items():
+        for idx in cycle_apps:
+            h, zattn, gate_np = apply(h, idx)
+            if zattn is not None:
+                zero_attn.setdefault(n, []).append(zattn)
+            if gate_np is not None:
+                gate.setdefault(n, []).append(gate_np)
+        if capture_exits and n < last:
+            exits.append(finish(h))
+        if exit_at is not None:
+            exiting = exit_at == 0
+            if n < last:
+                exiting &= halts([z.mean(axis=1) for z in zero_attn[n]], exit_threshold)
+            exit_at[exiting] = n
+            h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
+    adaptive = None if h_exit is None else finish(Tensor(h_exit))  # before the final tail
+    return [*exits, finish(h)], adaptive, exit_at, zero_attn, gate
 
 
 def forward(
@@ -704,16 +743,15 @@ def forward(
     recorded, so no gradient reaches the stream through `adaptive_logits`.
     It needs a model whose `supports_adaptive_exit` holds.
 
-    No cycle reads an exit branch, so an untaped forward (no active `Tape`:
-    `evaluate`, CLI `eval`, the sweep's scoring) hands each branch's tail
-    and LM head for cycles n < N, and the gathered tail, to one daemon
-    helper thread, started on first use, while this thread runs the next
-    cycle and then the final tail. Results are collected in exit order, an
-    exception raised on the helper is re-raised here, and every output is
-    bitwise that of the one-thread walk. The call returns or raises only
-    once every task it queued has finished, so no work of a failed call
-    outlives it. A recording forward (every train step) never leaves the
-    caller's thread.
+    No attention, exit decision or per-cycle mean mixes windows, so an
+    untaped forward (`evaluate`, CLI `eval`) of B >= 2 windows hands windows
+    B//2.. to one daemon helper thread, started on first use, as one whole
+    walk, and takes the per-cycle means from the joined arrays. It returns
+    or raises (a helper exception too) only once that half has finished.
+    One window (`eval --batch 1`) and a recording forward walk here alone.
+    Outputs are bitwise the halves' walks, joined: at T=64 also the whole
+    batch's walk, but short windows can take other OpenBLAS kernels for the
+    halves' fewer GEMM rows (6e-7 off at T=7).
     """
     config.check_exit_threshold(exit_threshold)
     ids = np.asarray(ids)
@@ -725,69 +763,29 @@ def forward(
     b, t = ids.shape
     if t < 1 or t > config.t_max:
         raise ShapeError(f"sequence length {t} outside [1, t_max={config.t_max}]")
-    schedule = build_schedule(config)
+    args = (params, config, capture_exits, exit_threshold)
+    if b < 2 or ad._ACTIVE_TAPE.get() is not None:
+        walks = [_walk(ids, *args)]
+    else:
+        reply = _on_helper(_walk, ids[b // 2 :], *args)
+        try:
+            mine = _walk(ids[: b // 2], *args)
+        finally:
+            theirs, exc = reply.get()  # before anything propagates
+        if exc is not None:
+            raise exc
+        walks = [mine, theirs]
 
-    h = embed(ids, params)
+    def join(parts):  # one walk's value as it is, else joined along the batch axis
+        if len(parts) == 1 or parts[0] is None:
+            return parts[0]
+        return Tensor(join([p.data for p in parts])) if isinstance(parts[0], Tensor) else np.concatenate(parts)
 
-    zero_attn: dict[int, list[float]] = {}
-    gate: dict[int, list[float]] = {}
-    exits: list[Tensor] = []
-
-    def apply(h: Tensor, idx: int) -> tuple[Tensor, np.ndarray | None, np.ndarray | None]:
-        layer, cycle = schedule.applications[idx]
-        rec = params.record(layer)
-        h, zattn = attention_with_zero_token(h, rec, params.pool.get((layer, cycle)), config.n_heads)
-        h, gate_np = gated_ffn(h, rec)
-        return h, zattn, gate_np
-
-    def finish(h: Tensor) -> Tensor:
-        for idx in schedule.post:
-            h = apply(h, idx)[0]
-        return _lm_logits(h, params)
-
-    untaped = ad._ACTIVE_TAPE.get() is None
-    # Each exit branch's and the gathered tail's logits; untaped, the helper's
-    # reply queue for them instead.
-    branches: list = []
-
-    def branch(h: Tensor) -> None:
-        branches.append(_on_helper(finish, h) if untaped else finish(h))
-
-    for idx in schedule.pre:
-        h = apply(h, idx)[0]
-    last = len(schedule.by_cycle)
-    exit_at = h_exit = None
-    if exit_threshold is not None:
-        exit_at = np.zeros((b, t), dtype=np.int64)  # 0: not exited yet
-    try:
-        for n, cycle_apps in schedule.by_cycle.items():
-            signals = []
-            for idx in cycle_apps:
-                h, zattn, gate_np = apply(h, idx)
-                if zattn is not None:
-                    signals.append(zattn)
-                    zero_attn.setdefault(n, []).append(float(zattn.mean()))
-                if gate_np is not None:
-                    gate.setdefault(n, []).append(float(gate_np.mean()))
-            if capture_exits and n < last:
-                branch(h)
-            if exit_at is not None:
-                exiting = exit_at == 0
-                if n < last:
-                    exiting &= aggregate([z.mean(axis=1) for z in signals]) >= exit_threshold
-                exit_at[exiting] = n
-                h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
-        if h_exit is not None:
-            branch(Tensor(h_exit))
-        final = finish(h)
-    except BaseException:
-        if untaped:
-            for reply in branches:
-                reply.get()
-        raise
-    exits = _collect(branches) if untaped else branches
-    adaptive = None if h_exit is None else exits.pop()
-    exits.append(final)
+    exit_lists, adaptives, exit_ats, zattns, gates = zip(*walks)
+    exits = [join(e) for e in zip(*exit_lists)]
+    adaptive, exit_at = join(adaptives), join(exit_ats)
+    zero_attn, gate = ({n: [float(join(a).mean()) for a in zip(*(m[n] for m in ms))] for n in ms[0]}
+                       for ms in (zattns, gates))
     if squeeze:
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
         if adaptive is not None:

@@ -368,7 +368,7 @@ def test_zero_attention_invariant_to_batch_permutation():
 
 
 # ---------------------------------------------------------------------------
-# exit branches on the helper thread
+# half of an untaped batch walks on the helper thread
 
 
 def assert_same_forward(a, b):
@@ -384,17 +384,17 @@ def assert_same_forward(a, b):
     assert (a.zero_attn, a.gate) == (b.zero_attn, b.gate)
 
 
-def _spy_threads(monkeypatch):
-    """Record the thread of every LM-head call forward makes."""
-    threads = []
-    inner = model_mod._lm_logits
+def _spy_walks(monkeypatch):
+    """Record (thread, windows) of every schedule walk forward makes."""
+    walks = []
+    inner = model_mod._walk
 
-    def spy(h, params):
-        threads.append(threading.current_thread())
-        return inner(h, params)
+    def spy(ids, *args):
+        walks.append((threading.current_thread(), len(ids)))
+        return inner(ids, *args)
 
-    monkeypatch.setattr(model_mod, "_lm_logits", spy)
-    return threads
+    monkeypatch.setattr(model_mod, "_walk", spy)
+    return walks
 
 
 @pytest.mark.parametrize("variant,kw,thresholds", [
@@ -410,24 +410,64 @@ def test_untaped_forward_is_bitwise_the_taped_one(variant, kw, thresholds, monke
     params = init_parameters(cfg, seed=27, dtype=np.float32)
     ids = np.random.default_rng(28).integers(0, cfg.vocab, size=(3, 7))
     caller = threading.current_thread()
-    threads = _spy_threads(monkeypatch)
+    walks = _spy_walks(monkeypatch)
     for threshold in thresholds:
-        threads.clear()
+        walks.clear()
         with Tape() as tape:
             taped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
-        assert len(tape) > 0 and threads and set(threads) == {caller}
-        threads.clear()
+        assert len(tape) > 0 and walks == [(caller, 3)]
+        walks.clear()
         untaped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
-        # Exit branches and the gathered tail ran on the helper, the final
-        # tail here; V has no branch to hand over.
-        helper = len(untaped.exit_logits) - 1 + (threshold is not None)
-        assert sum(t is not caller for t in threads) == helper
-        assert threads.count(caller) == 1
+        # Window 0 walked here, windows 1-2 on the helper.
+        assert walks[0] == (caller, 1) and len(walks) == 2
+        assert walks[1][0] is not caller and walks[1][1] == 2
         assert len(untaped.exit_logits) == cfg.n_exits
+        assert_same_forward(taped, untaped)
+        walks.clear()
+        with Tape():
+            taped_one = forward(ids[:1], params, cfg, capture_exits=True, exit_threshold=threshold)
+        one = forward(ids[:1], params, cfg, capture_exits=True, exit_threshold=threshold)
+        assert walks == [(caller, 1), (caller, 1)]
+        assert_same_forward(taped_one, one)
+
+
+@pytest.mark.parametrize("b", [2, 5, 8])
+def test_untaped_forward_at_the_canonical_shape_is_bitwise_the_whole_batch_walk(b):
+    cfg = model_config(RunConfig(early_exit_heads=True))
+    params = init_parameters(cfg, seed=35, dtype=np.float32)
+    ids = np.random.default_rng(36 + b).integers(0, cfg.vocab, size=(b, cfg.t_max))
+    for threshold in (None, 0.5, 1.0):
+        with Tape():
+            taped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
+        untaped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
         assert_same_forward(taped, untaped)
 
 
-def test_a_branch_error_on_the_helper_is_raised_by_the_caller(monkeypatch):
+def test_untaped_forward_on_short_windows_is_bitwise_its_halves_walked_alone():
+    # At T=7 the halves' GEMMs take other OpenBLAS kernels than the whole
+    # batch's can, so the contract is the two halves' one-thread walks,
+    # joined along the batch axis, with the per-cycle means taken after.
+    cfg = replace(model_config(RunConfig(early_exit_heads=True)), t_max=7)
+    params = init_parameters(cfg, seed=37, dtype=np.float32)
+    ids = np.random.default_rng(38).integers(0, cfg.vocab, size=(3, 7))
+    for threshold in (None, 0.5, 1.0):
+        got = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
+        with Tape():
+            halves = [model_mod._walk(part, params, cfg, True, threshold) for part in (ids[:1], ids[1:])]
+        (exits_a, ada_a, at_a, za, ga), (exits_b, ada_b, at_b, zb, gb) = halves
+        assert len(got.exit_logits) == len(exits_a) == cfg.n_exits
+        for x, ea, eb in zip(got.exit_logits, exits_a, exits_b):
+            np.testing.assert_array_equal(x.data, np.concatenate([ea.data, eb.data]))
+        if threshold is None:
+            assert got.adaptive_logits is None and got.exit_cycle is None
+        else:
+            np.testing.assert_array_equal(got.adaptive_logits.data, np.concatenate([ada_a.data, ada_b.data]))
+            np.testing.assert_array_equal(got.exit_cycle, np.concatenate([at_a, at_b]))
+        for means, a, b in ((got.zero_attn, za, zb), (got.gate, ga, gb)):
+            assert means == {n: [float(np.concatenate([x, y]).mean()) for x, y in zip(a[n], b[n])] for n in a}
+
+
+def test_an_error_in_the_helpers_half_is_raised_by_the_caller(monkeypatch):
     cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
     params = init_parameters(cfg, seed=29, dtype=np.float32)
     ids = np.random.default_rng(30).integers(0, cfg.vocab, size=(2, 6))
@@ -439,19 +479,20 @@ def test_a_branch_error_on_the_helper_is_raised_by_the_caller(monkeypatch):
     def fail_once_on_the_helper(h, params):
         if threading.current_thread() is not caller and not failed:
             failed.append(threading.current_thread())
-            raise RuntimeError("exit branch failed")
+            raise RuntimeError("helper half failed")
         return inner(h, params)
 
     monkeypatch.setattr(model_mod, "_lm_logits", fail_once_on_the_helper)
-    with pytest.raises(RuntimeError, match="exit branch failed"):
+    with pytest.raises(RuntimeError, match="helper half failed"):
         forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
     assert len(failed) == 1
     assert_same_forward(want, forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5))
 
 
-def test_a_failed_forward_raises_only_after_its_helper_tasks_finish(monkeypatch):
-    # The caller's own final tail raises while the helper is still busy with
-    # the slow exit branches: forward waits for all three before it raises.
+def test_a_failed_forward_raises_only_after_the_helpers_half_finishes(monkeypatch):
+    # The caller's half raises at its first LM head while the helper's half
+    # is slow: forward waits for all four of the helper's LM heads (exits 1
+    # and 2, the gathered tail, the final tail) before it raises.
     cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
     params = init_parameters(cfg, seed=33, dtype=np.float32)
     ids = np.random.default_rng(34).integers(0, cfg.vocab, size=(2, 6))
@@ -462,15 +503,15 @@ def test_a_failed_forward_raises_only_after_its_helper_tasks_finish(monkeypatch)
 
     def slow_on_the_helper_failing_here(h, params):
         if threading.current_thread() is caller:
-            raise RuntimeError("final tail failed")
+            raise RuntimeError("caller half failed")
         time.sleep(0.05)
         finished.append(inner(h, params))
         return finished[-1]
 
     monkeypatch.setattr(model_mod, "_lm_logits", slow_on_the_helper_failing_here)
-    with pytest.raises(RuntimeError, match="final tail failed"):
+    with pytest.raises(RuntimeError, match="caller half failed"):
         forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
-    assert len(finished) == cfg.n_exits  # exits 1 and 2, and the gathered tail
+    assert len(finished) == cfg.n_exits + 1
     monkeypatch.setattr(model_mod, "_lm_logits", inner)
     assert_same_forward(want, forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5))
 
@@ -508,7 +549,7 @@ def test_concurrent_untaped_forwards_share_one_helper_and_get_their_own_results(
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
-    assert sum(t.name == "cycleformer-exits" for t in threading.enumerate()) == 1
+    assert sum(t.name == "cycleformer-walk" for t in threading.enumerate()) == 1
     for i, runs in got.items():
         assert len(runs) == 5
         for res in runs:

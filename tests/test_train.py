@@ -686,8 +686,8 @@ def test_train_vanilla_single_exit():
 
 
 def test_a_canonical_train_step_starts_no_thread():
-    # Every train forward records, so no exit branch leaves the caller's
-    # thread and the helper never starts. A fresh interpreter, so no earlier
+    # Every train forward records, so no window leaves the caller's thread
+    # and the helper never starts. A fresh interpreter, so no earlier
     # test's untaped forward has started it already.
     code = (
         "import threading\n"
