@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import threading
 
 import numpy as np
 
@@ -141,6 +142,17 @@ class Tape:
     def __init__(self):
         self._records: list = []
         self._token = None
+        self._pair = None  # (shared per record, turn semaphores, stop event, side)
+
+    def pair(self, second: "Tape") -> None:
+        """Sweep this tape and `second` (the same record sequence over the same
+        parameters) at the same time on two threads: see `backward`."""
+        if [len(r[1]) for r in self._records] != [len(r[1]) for r in second._records]:
+            raise UsageError("paired tapes must hold the same record sequence")
+        shared = [any(s is t and s is not None for s, t in zip(x[1], y[1]))
+                  for x, y in zip(self._records, second._records)]
+        turns, stopped = (threading.Semaphore(1), threading.Semaphore(0)), threading.Event()
+        self._pair, second._pair = (shared, turns, stopped, 0), (shared, turns, stopped, 1)
 
     def __enter__(self) -> "Tape":
         self._token = _ACTIVE_TAPE.set(self)
@@ -160,25 +172,47 @@ def backward(tape: Tape, loss: Tensor) -> None:
     A record's saved arrays and its output gradient die as soon as its rule
     has run. The module docstring states the aliasing rule that lets a first
     gradient be adopted without a copy.
+
+    A tape paired by `Tape.pair` is swept while its partner is swept on
+    another thread. The rules run at the same time, but the adds of a record
+    that holds a parameter take turns: the first tape's for record i, then
+    the second's, then record i-1's, so the bits do not depend on
+    scheduling. (The other records touch slots of one tape alone.) A first
+    gradient adopted by one side may be added into by the other: by the
+    aliasing rule, nothing else reads it. A sweep that raises stops the
+    pair: the other returns instead of waiting.
     """
+    shared, turns, stopped, side = tape._pair or (None, None, None, 0)
     records = tape._records
-    if not any(out is loss.slot for out, _, _ in records):
-        raise UsageError("backward target was not produced under this tape")
-    if loss.data.shape != ():
-        raise ShapeError(f"backward target must be scalar, got shape {loss.data.shape}")
-    loss.grad = np.ones((), dtype=loss.data.dtype)
-    while records:
-        out, inputs, rule = records.pop()
-        g_out, out.grad = out.grad, None
-        if g_out is None:
-            continue
-        for slot, g in zip(inputs, rule(g_out), strict=True):
-            if slot is None:
-                continue
-            if slot.grad is None:
-                slot.grad = np.asarray(g)
-            else:
-                slot.grad += g
+    try:
+        if not any(out is loss.slot for out, _, _ in records):
+            raise UsageError("backward target was not produced under this tape")
+        if loss.data.shape != ():
+            raise ShapeError(f"backward target must be scalar, got shape {loss.data.shape}")
+        loss.grad = np.ones((), dtype=loss.data.dtype)
+        while records:
+            out, inputs, rule = records.pop()
+            g_out, out.grad = out.grad, None
+            terms = () if g_out is None else zip(inputs, rule(g_out), strict=True)
+            turn = shared is not None and shared[len(records)]
+            if turn:
+                turns[side].acquire()  # released by the partner's turn before this one
+                if stopped.is_set():
+                    return
+            for slot, g in terms:
+                if slot is None:
+                    continue
+                if slot.grad is None:
+                    slot.grad = np.asarray(g)
+                else:
+                    slot.grad += g
+            if turn:
+                turns[1 - side].release()
+    except BaseException:
+        if shared is not None:  # free the partner, waiting or not
+            stopped.set()
+            turns[1 - side].release()
+        raise
 
 
 def recording(*inputs: Tensor) -> bool:

@@ -17,6 +17,7 @@ the shape the vanilla-to-cycled retrofit produces.
 """
 from __future__ import annotations
 
+import contextvars
 import queue
 import threading
 from dataclasses import dataclass
@@ -644,8 +645,8 @@ def _lm_logits(h: Tensor, params: ModelParameters) -> Tensor:
     return ad._finish(logits, rule, *inputs)
 
 
-# The task queue of the one daemon thread that walks half of an untaped
-# forward's batch; the thread starts on first use.
+# The task queue of the one daemon thread that runs the second half of a
+# batch (`run_halves`); the thread starts on first use.
 _helper_tasks: queue.SimpleQueue | None = None
 _helper_lock = threading.Lock()
 
@@ -661,17 +662,25 @@ def _serve(tasks: queue.SimpleQueue) -> None:
             reply.put((None, exc))
 
 
-def _on_helper(fn, *args) -> queue.SimpleQueue:
-    """Queue fn(*args) for the helper thread, starting it on first use. The
-    returned queue gets (result, None), or (None, the exception)."""
+def run_halves(fn, first, second) -> tuple:
+    """(fn(first), fn(second)) at the same time: the second on the helper
+    thread, in a copy of the caller's context (numpy's error state with it).
+    Returns, or raises the first half's exception, else the second's, once
+    both have finished. `fn` must not hand work to the helper (a deadlock)."""
     global _helper_tasks
     reply = queue.SimpleQueue()
     with _helper_lock:
         if _helper_tasks is None:
             _helper_tasks = queue.SimpleQueue()
             threading.Thread(target=_serve, args=(_helper_tasks,), name="cycleformer-walk", daemon=True).start()
-        _helper_tasks.put((fn, args, reply))
-    return reply
+        _helper_tasks.put((contextvars.copy_context().run, (fn, second), reply))
+    try:
+        mine = fn(first)
+    finally:
+        theirs, exc = reply.get()  # before anything propagates
+    if exc is not None:
+        raise exc
+    return mine, theirs
 
 
 def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
@@ -748,7 +757,7 @@ def forward(
     B//2.. to one daemon helper thread, started on first use, as one whole
     walk, and takes the per-cycle means from the joined arrays. It returns
     or raises (a helper exception too) only once that half has finished.
-    One window (`eval --batch 1`) and a recording forward walk here alone.
+    One window and a recording forward (`train` splits its own) walk here.
     Outputs are bitwise the halves' walks, joined: at T=64 also the whole
     batch's walk, but short windows can take other OpenBLAS kernels for the
     halves' fewer GEMM rows (6e-7 off at T=7).
@@ -767,14 +776,7 @@ def forward(
     if b < 2 or ad._ACTIVE_TAPE.get() is not None:
         walks = [_walk(ids, *args)]
     else:
-        reply = _on_helper(_walk, ids[b // 2 :], *args)
-        try:
-            mine = _walk(ids[: b // 2], *args)
-        finally:
-            theirs, exc = reply.get()  # before anything propagates
-        if exc is not None:
-            raise exc
-        walks = [mine, theirs]
+        walks = run_halves(lambda part: _walk(part, *args), ids[: b // 2], ids[b // 2 :])
 
     def join(parts):  # one walk's value as it is, else joined along the batch axis
         if len(parts) == 1 or parts[0] is None:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import weakref
@@ -535,25 +536,27 @@ def test_nan_loss_aborts_with_step():
 
 def test_exit_logits_are_freed_before_backward(monkeypatch):
     # No rule reads the logits (cross_entropy saves its own log-softmax),
-    # so they must not be held across the reverse sweep.
+    # so they must not be held across the reverse sweep. Each half of the
+    # batch runs its forward and its sweep on its own thread.
     cfg = tiny_config()
-    last_logits = []
+    last_logits = {}
     entered = []
     real_forward, real_backward = train_mod.forward, train_mod.backward
 
     def forward_spy(*args, **kwargs):
         res = real_forward(*args, **kwargs)
-        last_logits.append(weakref.ref(res.exit_logits[-1].data))
+        last_logits[threading.current_thread().name] = weakref.ref(res.exit_logits[-1].data)
         return res
 
     def backward_spy(tape, loss):
-        entered.append(last_logits[-1]() is None)
+        name = threading.current_thread().name
+        entered.append((name, last_logits[name]() is None))
         real_backward(tape, loss)
 
     monkeypatch.setattr(train_mod, "forward", forward_spy)
     monkeypatch.setattr(train_mod, "backward", backward_spy)
     train(cfg, TrainPlan(steps=2, batch=2, grad_accum=2, seed=0), tiny_corpus())
-    assert entered == [True] * 4
+    assert sorted(entered) == [("MainThread", True)] * 4 + [("cycleformer-walk", True)] * 4
 
 
 def test_nonfinite_gradient_aborts_before_the_update(monkeypatch):
@@ -685,10 +688,11 @@ def test_train_vanilla_single_exit():
     assert all(math.isfinite(v) for v in result.losses)
 
 
-def test_a_canonical_train_step_starts_no_thread():
-    # Every train forward records, so no window leaves the caller's thread
-    # and the helper never starts. A fresh interpreter, so no earlier
-    # test's untaped forward has started it already.
+def test_a_canonical_train_step_leaves_one_helper_thread():
+    # A step of one window runs on the caller alone and starts no thread; a
+    # canonical step runs its second half on the one helper thread, which
+    # stays for later steps. A fresh interpreter, so no earlier test has
+    # started the helper already.
     code = (
         "import threading\n"
         "from cycleformer.config import RunConfig, model_config\n"
@@ -696,12 +700,15 @@ def test_a_canonical_train_step_starts_no_thread():
         "from cycleformer.train import TrainPlan, train\n"
         "cfg = model_config(RunConfig(early_exit_heads=True))\n"
         "ids = ByteVocabulary().encode(make_synthetic_corpus(4000, seed=0))\n"
-        "train(cfg, TrainPlan(steps=1, batch=8), ids)\n"
+        "train(cfg, TrainPlan(steps=1, batch=1), ids)\n"
         "print(threading.active_count())\n"
+        "for _ in range(2):\n"
+        "    train(cfg, TrainPlan(steps=1, batch=8), ids)\n"
+        "    print(sorted(t.name for t in threading.enumerate()))\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cycleformer.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["1"]
+    assert r.stdout.splitlines() == ["1"] + ["['MainThread', 'cycleformer-walk']"] * 2
