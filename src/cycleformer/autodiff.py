@@ -154,6 +154,14 @@ class Tape:
         turns, stopped = (threading.Semaphore(1), threading.Semaphore(0)), threading.Event()
         self._pair, second._pair = (shared, turns, stopped, 0), (shared, turns, stopped, 1)
 
+    def stop_pair(self) -> None:
+        """Stop a paired sweep and free the partner, waiting or not: it
+        returns instead of waiting for this side's turn. No-op unpaired."""
+        if self._pair is not None:
+            _, turns, stopped, side = self._pair
+            stopped.set()
+            turns[1 - side].release()
+
     def __enter__(self) -> "Tape":
         self._token = _ACTIVE_TAPE.set(self)
         return self
@@ -209,9 +217,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if turn:
                 turns[1 - side].release()
     except BaseException:
-        if shared is not None:  # free the partner, waiting or not
-            stopped.set()
-            turns[1 - side].release()
+        tape.stop_pair()
         raise
 
 

@@ -683,17 +683,72 @@ def run_halves(fn, first, second) -> tuple:
     return mine, theirs
 
 
-def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
-          capture_exits: bool, exit_threshold: float | None) -> tuple:
-    """`forward`'s walk of the schedule over (B, T) ids, on one thread.
-    Returns (each exit's logits, full depth last; the gathered logits and
-    exit_at, or None; per cycle, its zero-attention and gate arrays)."""
-    schedule = build_schedule(config)
+class _Slot:
+    __slots__ = ("k", "v", "filled")
 
-    def apply(h: Tensor, idx: int) -> tuple[Tensor, np.ndarray | None, np.ndarray | None]:
+    def __init__(self, rows: int, d: int, dtype):
+        self.k = np.zeros((rows, d), dtype=dtype)
+        self.v = np.zeros((rows, d), dtype=dtype)
+        self.filled = 0
+
+
+class DecodeCache:
+    """Incremental decode's state: per-application K/V buffers, positionally
+    indexed (after row 0, the zero token's, where the application has one),
+    plus what `_walk` needs to deepen an early-exited position later:
+    `h_mid[p]` is position p's hidden state after its last finished cycle
+    and `depth[p]` counts its finished cycles (always 0 for V, which has
+    none). `n_pos` positions are done; `cycles_used` lists their exits."""
+
+    def __init__(self, params: ModelParameters, config: ModelConfig):
+        self.params = params
+        self.config = config
+        self.schedule = build_schedule(config)
+        dtype = params.dtype()
+        d, tm = config.d_model, config.t_max
+        apps = self.schedule.applications
+        self.slots = [_Slot(tm + (app in params.pool), d, dtype) for app in apps]
+        self.h_mid = np.zeros((tm, d), dtype=dtype)
+        self.depth = np.zeros(tm, dtype=np.int64)
+        self.n_pos = 0
+        self.cycles_used: list[int] = []
+
+    def rows(self, idx: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Application `idx`'s (keys, values) buffers, (1, rows, d), for a
+        query at position `start`, whose row is then filled. UsageError
+        unless every earlier position's row is."""
+        slot = self.slots[idx]
+        if slot.filled < start:
+            raise UsageError(f"cache prefix incomplete at slot {idx}: {slot.filled} < {start}")
+        slot.filled = max(slot.filled, start + 1)
+        return slot.k[None], slot.v[None]
+
+
+def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
+          capture_exits: bool, exit_threshold: float | None, cache: DecodeCache | None = None) -> tuple:
+    """The one walk of the schedule, on one thread: `forward`'s over (B, T)
+    ids, and with a `cache`, `decode_step`'s over one (1, 1) token at
+    position `cache.n_pos`. Returns (each exit's logits, full depth last;
+    the gathered logits and exit_at, or None; per cycle, its zero-attention
+    and gate arrays).
+
+    With a cache, each application reads and writes its K/V slot at the
+    position (`DecodeCache.rows`). Before cycle n the earlier positions are
+    deepened to n finished cycles, in position order, by the same
+    applications, so every attention read sees a complete prefix; after it
+    the position's state and depth are kept. Once the position exits the
+    walk stops, and the tail and LM head run once, on the exited state:
+    the last logits, with no gathered ones. So a tail slot row is written
+    once, at the position's exit, and never revised by later deepening.
+    """
+    schedule = build_schedule(config) if cache is None else cache.schedule
+    pos = 0 if cache is None else cache.n_pos
+
+    def apply(h: Tensor, idx: int, start: int = pos) -> tuple[Tensor, np.ndarray | None, np.ndarray | None]:
         layer, cycle = schedule.applications[idx]
         rec = params.record(layer)
-        h, zattn = attention_with_zero_token(h, rec, params.pool.get((layer, cycle)), config.n_heads)
+        kv = None if cache is None else cache.rows(idx, start)
+        h, zattn = attention_with_zero_token(h, rec, params.pool.get((layer, cycle)), config.n_heads, kv, start)
         h, gate_np = gated_ffn(h, rec)
         return h, zattn, gate_np
 
@@ -702,7 +757,7 @@ def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
             h = apply(h, idx)[0]
         return _lm_logits(h, params)
 
-    h = embed(ids, params)
+    h = embed(ids, params, start=pos)
     for idx in schedule.pre:
         h = apply(h, idx)[0]
     zero_attn, gate, exits = {}, {}, []
@@ -710,12 +765,20 @@ def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
     h_exit = None
     exit_at = None if exit_threshold is None else np.zeros(ids.shape, dtype=np.int64)  # 0: not exited
     for n, cycle_apps in schedule.by_cycle.items():
+        for p in range(pos):  # only with a cache: every earlier position has n-1 cycles or more
+            if cache.depth[p] < n:
+                h_p = Tensor(cache.h_mid[p][None, None])
+                for idx in cycle_apps:
+                    h_p = apply(h_p, idx, p)[0]
+                cache.h_mid[p], cache.depth[p] = h_p.data[0, 0], n
         for idx in cycle_apps:
             h, zattn, gate_np = apply(h, idx)
             if zattn is not None:
                 zero_attn.setdefault(n, []).append(zattn)
             if gate_np is not None:
                 gate.setdefault(n, []).append(gate_np)
+        if cache is not None:
+            cache.h_mid[pos], cache.depth[pos] = h.data[0, 0], n
         if capture_exits and n < last:
             exits.append(finish(h))
         if exit_at is not None:
@@ -723,7 +786,10 @@ def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
             if n < last:
                 exiting &= halts([z.mean(axis=1) for z in zero_attn[n]], exit_threshold)
             exit_at[exiting] = n
-            h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
+            if cache is None:
+                h_exit = h.data if h_exit is None else np.where(exiting[..., None], h.data, h_exit)
+            elif exiting.all():  # the tail runs once, below, on the exited state
+                break
     adaptive = None if h_exit is None else finish(Tensor(h_exit))  # before the final tail
     return [*exits, finish(h)], adaptive, exit_at, zero_attn, gate
 
@@ -737,11 +803,13 @@ def forward(
 ) -> ForwardResult:
     """Run the cycled stack on token ids of shape (T,) or (B, T).
 
-    Walks the schedule's head, then each cycle, then its tail, keeping the
-    zero-attention and gate means of every application of a cycle. With
-    capture_exits, each cycle but the last also feeds a branch copy of the
-    stream through the shared tail and the shared final norm + LM head; the
-    main stream continues through every remaining cycle either way.
+    Walks the schedule's head, then each cycle, then its tail (`_walk`,
+    the one walk, which `adaptive.decode_step` runs over its K/V cache),
+    keeping the zero-attention and gate means of every application of a
+    cycle. With capture_exits, each cycle but the last also feeds a branch
+    copy of the stream through the shared tail and the shared final norm +
+    LM head; the main stream continues through every remaining cycle
+    either way.
 
     With exit_threshold, a position exits after the first cycle whose
     halting signal (the slot-0 attention weight, averaged over heads, then

@@ -215,6 +215,17 @@ def _record_half(inputs, targets, params, config, weight) -> tuple:
     return tape, scaled, loss.item(), per_exit, res.zero_attn, res.gate  # the logits die here
 
 
+def _sweep_half(tape: Tape, loss: Tensor) -> None:
+    """`backward` on one half's paired tape. Any error, also one raised by a
+    wrapper of `backward` before its sweep starts, stops the pair, so the
+    other half does not wait for a turn forever."""
+    try:
+        backward(tape, loss)
+    except BaseException:
+        tape.stop_pair()
+        raise
+
+
 def train(
     config: ModelConfig,
     plan: TrainPlan,
@@ -271,7 +282,7 @@ def train(
                     merged.setdefault(cycle, []).extend(_weighted(ns, v) for v in zip(*(m[cycle] for m in maps)))
             if b >= 2:
                 tapes[0].pair(tapes[1])
-                run_halves(lambda half: backward(*half), *zip(tapes, scaled))
+                run_halves(lambda half: _sweep_half(*half), *zip(tapes, scaled))
             else:
                 backward(tapes[0], scaled[0])
             step_loss += value / plan.grad_accum

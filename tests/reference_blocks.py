@@ -48,7 +48,8 @@ def reference_attention_weights(h, rec, zkey, n_heads):
     return ad.add(h, out), weights
 
 
-def reference_attention(h, rec, zkey, n_heads):
+def reference_attention(h, rec, zkey, n_heads, cache=None, start=0):
+    assert cache is None and start == 0, "the reference has no decode cache path"
     h_att, weights = reference_attention_weights(h, rec, zkey, n_heads)
     zero_attn = weights.data[..., 0].copy() if zkey is not None else None
     return h_att, zero_attn

@@ -25,7 +25,8 @@ from cycleformer.checkpoint import load_model
 from cycleformer.data import BOS_ID, ByteVocabulary
 from cycleformer.errors import ConfigError, ShapeError, UsageError
 from cycleformer.evaluate import evaluate
-from cycleformer.model import ModelConfig, forward, init_parameters
+from cycleformer import model
+from cycleformer.model import ModelConfig, build_schedule, forward, init_parameters
 
 from exit_oracle import batch_oracle, exit_cycle, pick_mixed_threshold
 
@@ -191,6 +192,15 @@ def test_decode_rejects_overfull_context():
         decode_step(cache, 0)
 
 
+def test_decode_rejects_an_incomplete_cache_prefix():
+    cfg, params = make_model()
+    cache = DecodeCache(params, cfg)
+    decode_step(cache, 1)
+    cache.n_pos = 2  # position 1 was never decoded: no slot holds its row
+    with pytest.raises(UsageError, match="cache prefix incomplete"):
+        decode_step(cache, 2)
+
+
 @pytest.mark.parametrize("variant,l,n", [("V", 3, 1), ("BC", 3, 2), ("HTC", 4, 2)])
 def test_adaptive_needs_zero_token_head_tail(variant, l, n):
     cfg, params = make_model(variant, l, n)
@@ -254,6 +264,40 @@ def test_depth_bookkeeping_and_slot_fill():
         expect = int(np.sum(depth >= cycle))
         for s in slots:
             assert cache.slots[s].filled == expect
+
+
+@pytest.mark.parametrize("threshold", [None, 1.0, "mixed"])
+def test_block_calls_per_decode_step(monkeypatch, threshold):
+    """Each step runs the head, `used` cycles, the tail once and the LM head
+    once, plus one cycle per position-cycle it deepened: the count behind the
+    benchmark's `adaptive.deepen_cycles`."""
+    cfg, params = make_model("ZTT", 4, 3, seed=3)
+    ids = np.random.default_rng(5).integers(0, cfg.vocab, size=12)
+    if threshold == "mixed":
+        threshold = pick_mixed_threshold(batch_oracle(params, cfg, ids, threshold=2.0)[2])
+    calls = {}
+    for name in ("attention_with_zero_token", "gated_ffn", "_lm_logits"):
+        def counted(*args, _inner=getattr(model, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counted)
+    schedule = build_schedule(cfg)
+    k = len(schedule.by_cycle[1])
+    cache = DecodeCache(params, cfg)
+    deepened = []
+    for tok in ids:
+        t = cache.n_pos
+        before = int(cache.depth[:t].sum())
+        calls.clear()
+        _, used = decode_step(cache, int(tok), ExitPolicy(threshold))
+        deepened.append(int(cache.depth[:t].sum()) - before)
+        blocks = len(schedule.pre) + k * used + len(schedule.post) + k * deepened[-1]
+        assert calls == {"attention_with_zero_token": blocks, "gated_ffn": blocks, "_lm_logits": 1}
+    if threshold in (None, 1.0):
+        assert cache.cycles_used == [cfg.loop_count] * len(ids) and sum(deepened) == 0
+    else:
+        assert len(set(cache.cycles_used)) >= 2 and sum(deepened) > 0
 
 
 def test_tail_entries_never_revised():

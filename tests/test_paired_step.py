@@ -313,6 +313,27 @@ def test_a_failing_half_stops_both_and_leaves_the_step_untouched(monkeypatch, ph
         np.testing.assert_array_equal(optimizer.v[name], fresh.optimizer.v[name], err_msg=name)
 
 
+def test_a_backward_wrapper_that_raises_on_the_helper_stops_the_pair(monkeypatch):
+    """A wrapper of `train.backward` (the tracer sets one) raises on the
+    helper before that half's sweep starts: `train` raises its error, the
+    caller's half does not wait for a turn forever, and the helper serves
+    the next call."""
+    cfg = tiny_config()
+    ids = tiny_corpus(seed=3)
+    plan = TrainPlan(steps=1, batch=4, seed=9)
+    inner = train_mod.backward
+
+    def wrapper(tape, loss):
+        if on_helper():
+            raise Boom
+        return inner(tape, loss)
+
+    with monkeypatch.context() as m:
+        m.setattr(train_mod, "backward", wrapper)
+        assert isinstance(run_and_join(lambda: train(cfg, plan, ids), timeout=10), Boom)
+    assert run_and_join(lambda: train(cfg, plan, ids), timeout=60) is None
+
+
 @pytest.mark.parametrize("failing", ["caller", "helper"])
 def test_a_nan_loss_in_either_half_raises_before_either_sweep(monkeypatch, failing):
     cfg = tiny_config()

@@ -1,8 +1,12 @@
 """Application schedules: pinned layouts, the depth identity, config validation."""
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycleformer
 from cycleformer.errors import ConfigError
 from cycleformer.model import ModelConfig, build_schedule, param_count
 
@@ -167,3 +171,21 @@ def test_param_count_share_middle_shrinks_blocks():
     assert tied["by_group"]["blocks"] < untied["by_group"]["blocks"]
     per_block = untied["by_group"]["blocks"] // 5
     assert untied["by_group"]["blocks"] - tied["by_group"]["blocks"] == 2 * per_block
+
+
+SCHEDULE_GROUPS = {"pre", "by_cycle", "post"}
+
+
+def group_reads(path: Path) -> list[tuple[int, str]]:
+    """(line, attribute) of every `.pre`, `.by_cycle` or `.post` in a module."""
+    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in SCHEDULE_GROUPS]
+
+
+def test_only_model_walks_the_schedule():
+    """The schedule's head, cycles and tail are read in `model.py` alone (its
+    one walker, `_walk`), so a change to the walk is made in one place."""
+    package = Path(cycleformer.__file__).parent
+    reads = {path.name: group_reads(path) for path in sorted(package.glob("*.py"))}
+    assert {attr for _, attr in reads.pop("model.py")} == SCHEDULE_GROUPS  # the scan sees the walker
+    assert {name: found for name, found in reads.items() if found} == {}
