@@ -25,8 +25,12 @@ the arrays each rule binds, parameters left out, each array counted once.
 Last it fingerprints the no-tape paths on the benchmark's fixed checkpoint
 (perfbench/fixed; paths from perfbench/common.py). `eval sha256` covers the
 `evaluate` reports at exit thresholds 0.5, 1.0 and none over the committed
-validation tail, batch 8. `eval adaptive 0.5` prints that report's adaptive
-NLL and avg_loop, so a moved eval hash says by how much.
+validation tail, batch 8. Beside it, the traced peak per batch is the
+tracemalloc peak through one `evaluate` call at threshold 0.5 on one batch
+of 8 windows (the benchmark's eval_adaptive request), with the batch's two
+halves run one after the other, so the peak does not depend on how two
+threads' walks overlap. `eval adaptive 0.5` prints the full report's
+adaptive NLL and avg_loop, so a moved eval hash says by how much.
 `decode sha256` covers greedy `generate` at threshold 0.5 and at full depth
 on the first 8 pool prompts, each filled to t_max: the ids, the cycles
 used, every `decode_step`'s logits and the final `DecodeCache.depth`.
@@ -83,6 +87,20 @@ def eval_digest(evaluate, adaptive, params, cfg, valid):
         reports.append(evaluate.evaluate(params, cfg, valid, adaptive.ExitPolicy(threshold), batch=8))
         h.update(repr(reports[-1]).encode())  # repr round-trips every float
     return h.hexdigest(), reports[0].adaptive
+
+
+def eval_peak(model, evaluate, adaptive, params, cfg, valid) -> float:
+    """MB at tracemalloc's peak through one batch-8 `evaluate` call at the
+    first eval threshold, its halves run one after the other."""
+    inner = model.run_halves
+    model.run_halves = lambda fn, first, second: (fn(first), fn(second))
+    tracemalloc.start()
+    try:
+        evaluate.evaluate(params, cfg, valid, adaptive.ExitPolicy(EVAL_THRESHOLDS[0]), batch=8, max_batches=1)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+        model.run_halves = inner
 
 
 def decode_digest(adaptive, params, cfg, valid, pool) -> str:
@@ -234,7 +252,8 @@ def main(argv=None) -> int:
     meta = json.loads(common.META_PATH.read_text())
     params, cfg = loaded.params, loaded.config
     eval_hash, ada = eval_digest(evaluate, adaptive, params, cfg, valid)
-    print(f"eval sha256: {eval_hash}")
+    print(f"eval sha256: {eval_hash}  "
+          f"(traced peak per batch {eval_peak(model, evaluate, adaptive, params, cfg, valid):.2f} MB)")
     print(f"eval adaptive {ada.threshold:g}: nll {ada.loss:.6f}, avg_loop {ada.avg_loop:.4f}")
     print(f"decode sha256: {decode_digest(adaptive, params, cfg, valid, meta['prompt_pool'])}")
     print(f"decode max err: {decode_error(adaptive, model, params, cfg, valid, meta):.3e}")

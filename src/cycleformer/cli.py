@@ -7,9 +7,13 @@ and any other file the command cannot open or write; 3 training diverged;
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
+import platform
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +36,28 @@ from .train import MetricsWriter, plan_from_run, train
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_CHECKPOINT = 4
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _manifest() -> dict:
+    """Where a command ran: Python, numpy and its BLAS build, the BLAS thread
+    variables (None when unset), the CPUs this process may use, and the
+    sha256 over the package's *.py files, each name and then its contents,
+    in name order."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "package_sha256": h.hexdigest(),
+    }
 
 
 def _policy_args(p: argparse.ArgumentParser) -> None:
@@ -187,6 +213,7 @@ def cmd_eval(args) -> int:
         g = "" if c.gate is None else f"  gate {c.gate:.4f}"
         print(f"cycle {c.cycle}:{z}{g}")
     print(f"tokens {report.n_tokens}  batches {report.n_batches}")
+    print("manifest " + json.dumps(_manifest(), sort_keys=True))
     return 0
 
 

@@ -1,11 +1,11 @@
 """Teacher-forced evaluation and the fixed-budget layout sweep.
 
-Evaluation reads logits from one batched forward per window group and does
-all scoring in float64 numpy, so a report is a pure function of (weights,
-data, policy). The adaptive report scores `forward`'s adaptive logits: each
-position exits where incremental decode would and is scored with the logits
-decode would emit, so threshold 1 reproduces the final-exit numbers exactly,
-token for token.
+Evaluation reads logits from batched forwards, two per window group of two
+or more windows, and does all scoring in float64 numpy, so a report is a
+pure function of (weights, data, policy). The adaptive report scores
+`forward`'s adaptive logits: each position exits where incremental decode
+would and is scored with the logits decode would emit, so threshold 1
+reproduces the final-exit numbers exactly, token for token.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .adaptive import ExitPolicy
 from .config import RunConfig, model_config
 from .data import check_ids_fit
 from .errors import ConfigError, DataError
-from .model import ModelConfig, ModelParameters, aggregate, forward, param_count
+from .model import ModelConfig, ModelParameters, aggregate, forward, merge_halves, param_count, split_batch
 from .train import plan_from_run, train
 
 
@@ -75,6 +75,16 @@ def _nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - picked
 
 
+def _score(inputs, targets, params, config, policy: ExitPolicy) -> tuple:
+    """One window group's (or half's) forward, scored on the calling thread:
+    (each exit's per-token NLL, the adaptive per-token NLL and exit_cycle or
+    None, zero_attn, gate). The logits die here."""
+    res = forward(inputs, params, config, capture_exits=True, exit_threshold=policy.threshold)
+    per_exit = [_nll(e.data, targets) for e in res.exit_logits]
+    ada = None if res.adaptive_logits is None else _nll(res.adaptive_logits.data, targets)
+    return per_exit, ada, res.exit_cycle, res.zero_attn, res.gate
+
+
 def evaluate(
     params: ModelParameters,
     config: ModelConfig,
@@ -83,7 +93,17 @@ def evaluate(
     batch: int = 8,
     max_batches: int | None = None,
 ) -> EvalReport:
-    """Score every full window of `ids` at teacher-forced positions."""
+    """Score every full window of `ids` at teacher-forced positions.
+
+    A group of B >= 2 windows runs in two halves at the same time
+    (`model.split_batch`): windows ..B//2 on the calling thread and B//2..
+    on the helper, each half's forward and float64 scoring on its own
+    thread. Only a half's per-token NLL arrays, exit cycles and per-cycle
+    means come back; no logits are joined. The NLL arrays are concatenated
+    in window order before they are summed, so the sums are those of the
+    whole group's arrays. Per-cycle zero-attention and gate means weight
+    each half by its windows (`model.merge_halves`), then each group by its
+    tokens."""
     if batch < 1 or (max_batches is not None and max_batches < 1):
         raise ConfigError(f"batch and max_batches must be >= 1, got {batch} and {max_batches}")
     policy = policy or ExitPolicy()
@@ -107,16 +127,17 @@ def evaluate(
         windows = range(start, min(start + batch, n_win))
         inputs = np.stack([ids[w * t : w * t + t] for w in windows]).astype(np.int64, copy=False)
         targets = np.stack([ids[w * t + 1 : w * t + t + 1] for w in windows]).astype(np.int64, copy=False)
-        res = forward(inputs, params, config, capture_exits=True, exit_threshold=policy.threshold)
+        halves, ns = split_batch(lambda x, y: _score(x, y, params, config, policy), inputs, targets)
+        per_exits, adas, exit_cycles, zattns, gates = zip(*halves)
         toks = targets.size
-        per_exit = np.stack([_nll(e.data, targets) for e in res.exit_logits])
+        per_exit = np.stack([np.concatenate(parts) for parts in zip(*per_exits)])
         nll_sum += per_exit.sum(axis=(1, 2))
-        for sums, values in ((zattn_sum, res.zero_attn), (gate_sum, res.gate)):
-            for cycle, v in values.items():
+        for sums, maps in ((zattn_sum, zattns), (gate_sum, gates)):
+            for cycle, v in merge_halves(ns, maps).items():
                 sums[cycle] = sums.get(cycle, 0.0) + aggregate(v) * toks
         if policy.adaptive:
-            ada_sum += _nll(res.adaptive_logits.data, targets).sum()
-            exit_counts += np.bincount(res.exit_cycle.ravel() - 1, minlength=config.loop_count)
+            ada_sum += np.concatenate(adas).sum()
+            exit_counts += np.bincount(np.concatenate(exit_cycles).ravel() - 1, minlength=config.loop_count)
         n_tok += toks
         n_batches += 1
     exits = [

@@ -156,6 +156,18 @@ def halts(signals, threshold: float):
     return aggregate(signals) >= threshold
 
 
+def weighted(weights, values) -> float:
+    """The mean of `values` weighted by `weights`; a lone value of weight 1 as it is."""
+    return sum(w * v for w, v in zip(weights, values)) / sum(weights)
+
+
+def merge_halves(windows, maps) -> dict[int, list[float]]:
+    """A split batch's per-cycle means from its halves' ({cycle: one mean
+    per application} each): per application, the halves' means weighted by
+    their `windows`. The one rule `train` and `evaluate` apply."""
+    return {n: [weighted(windows, v) for v in zip(*(m[n] for m in maps))] for n in maps[0]}
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -446,13 +458,15 @@ def attention_with_zero_token(
     return h_att, zero_attn
 
 
-# Rows per chunk of the FFN backward's elementwise (B*T, d_ff) work, so a
-# chunk's tanh term and `gelu_grad`'s two temporaries live in cache. The forward
-# takes its GELU in one pass: two threads' per-chunk calls contend for the GIL.
-# The GEMMs stay whole: OpenBLAS takes other kernels for a few rows (under 16
-# at d_ff=512), so a row-chunked product is not bitwise the whole one. At 64
-# rows the chunk temporaries set the backward's memory peak for small batches.
-FFN_CHUNK_ROWS = 32
+# The FFN backward's elementwise (B*T, d_ff) work runs in FFN_BLOCKS row
+# blocks of ceil(B*T / FFN_BLOCKS) rows, so the tanh term and `gelu_grad`'s
+# two temporaries hold a quarter of the array at a time. Four blocks take
+# fewer numpy calls than small fixed-size chunks, so the two threads of a
+# train step trade the interpreter lock less often. The forward takes its
+# GELU in one pass. The GEMMs stay whole: OpenBLAS takes other kernels for a
+# few rows (under 16 at d_ff=512), so a row-blocked product is not bitwise
+# the whole one.
+FFN_BLOCKS = 4
 
 
 def gated_ffn(h: Tensor, rec: LayerParameters) -> tuple[Tensor, np.ndarray | None]:
@@ -468,9 +482,9 @@ def gated_ffn(h: Tensor, rec: LayerParameters) -> tuple[Tensor, np.ndarray | Non
     place over its input from the tanh term, in one pass, in one (B*T, d_ff)
     buffer that dies with the forward. Backward rebuilds the layer norm
     output and, from it, that buffer with the forward's GEMM and bias add,
-    turning the upstream gradient into the GELU input's FFN_CHUNK_ROWS rows
-    at a time on the way. The GELU and its gradient are elementwise, so the
-    chunks' bits are those of one full-array pass. With the gate, backward
+    turning the upstream gradient into the GELU input's in FFN_BLOCKS row
+    blocks on the way. The GELU and its gradient are elementwise, so the
+    blocks' bits are those of one full-array pass. With the gate, backward
     also rebuilds the ungated output from that buffer with the forward's
     GEMM and bias add, for the gate's gradient.
     """
@@ -484,16 +498,17 @@ def gated_ffn(h: Tensor, rec: LayerParameters) -> tuple[Tensor, np.ndarray | Non
     gamma, beta = rec.ln2_g.data, rec.ln2_b.data
     w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
     gate_w = rec.gate_w.data if gated else None
-    chunks = [slice(r, r + FFN_CHUNK_ROWS) for r in range(0, n, FFN_CHUNK_ROWS)]
+    rows = -(-n // FFN_BLOCKS)
+    blocks = [slice(r, r + rows) for r in range(0, n, rows)]
 
     def gelu(flat, g_pre=None):
         """GELU(flat @ w1 + b1) written over its input in one fresh (n, d_ff)
-        buffer, in one pass; with `g_pre`, chunk by chunk, each chunk of
+        buffer, in one pass; with `g_pre`, block by block, each block of
         `g_pre` first turned in place into the GELU input's gradient."""
         act = np.matmul(flat, w1)
         del flat  # the rule's rebuilt layer norm output dies before the loop
         act += b1  # the bias in place, as in the attention's scores
-        for c in (slice(None),) if g_pre is None else chunks:
+        for c in (slice(None),) if g_pre is None else blocks:
             x = act[c]
             tanh_term = ad._gelu_tanh(x)
             if g_pre is None:
@@ -530,7 +545,7 @@ def gated_ffn(h: Tensor, rec: LayerParameters) -> tuple[Tensor, np.ndarray | Non
 
         # matmul_grad(act, w2, g_o) split in two around the GELU loop: the
         # upstream gradient first, turned into the GELU input's in place.
-        # Only the two (n, d_ff) buffers and the loop's chunk temporaries
+        # Only the two (n, d_ff) buffers and the loop's block temporaries
         # live through the loop: the layer norm output, g_o and the gate's
         # terms are built before or after it.
         g_o = grad_o()
@@ -683,6 +698,19 @@ def run_halves(fn, first, second) -> tuple:
     return mine, theirs
 
 
+def split_batch(fn, *arrays) -> tuple[list, list[int]]:
+    """`fn` over the windows of `arrays`, which share a leading batch axis of
+    B: for B >= 2, fn(..B//2) here and fn(B//2..) on the helper at the same
+    time (`run_halves`), else fn(all of them) here. Returns each call's
+    result and its window count. The one split `train` and `evaluate` use."""
+    b = len(arrays[0])
+    if b < 2:
+        return [fn(*arrays)], [b]
+    h = b // 2
+    halves = run_halves(lambda part: fn(*part), [a[:h] for a in arrays], [a[h:] for a in arrays])
+    return list(halves), [h, b - h]
+
+
 class _Slot:
     __slots__ = ("k", "v", "filled")
 
@@ -820,15 +848,10 @@ def forward(
     recorded, so no gradient reaches the stream through `adaptive_logits`.
     It needs a model whose `supports_adaptive_exit` holds.
 
-    No attention, exit decision or per-cycle mean mixes windows, so an
-    untaped forward (`evaluate`, CLI `eval`) of B >= 2 windows hands windows
-    B//2.. to one daemon helper thread, started on first use, as one whole
-    walk, and takes the per-cycle means from the joined arrays. It returns
-    or raises (a helper exception too) only once that half has finished.
-    One window and a recording forward (`train` splits its own) walk here.
-    Outputs are bitwise the halves' walks, joined: at T=64 also the whole
-    batch's walk, but short windows can take other OpenBLAS kernels for the
-    halves' fewer GEMM rows (6e-7 off at T=7).
+    Walks on the calling thread, whatever the batch. `train` and `evaluate`
+    split a batch themselves (`split_batch`): each half calls `forward` on
+    its own thread and keeps there what it needs of the result, and
+    `merge_halves` weights the halves' per-cycle means into the batch's.
     """
     config.check_exit_threshold(exit_threshold)
     ids = np.asarray(ids)
@@ -837,25 +860,11 @@ def forward(
         ids = ids[None, :]
     if ids.ndim != 2:
         raise ShapeError(f"expected (T,) or (B, T) token ids, got shape {ids.shape}")
-    b, t = ids.shape
+    t = ids.shape[1]
     if t < 1 or t > config.t_max:
         raise ShapeError(f"sequence length {t} outside [1, t_max={config.t_max}]")
-    args = (params, config, capture_exits, exit_threshold)
-    if b < 2 or ad._ACTIVE_TAPE.get() is not None:
-        walks = [_walk(ids, *args)]
-    else:
-        walks = run_halves(lambda part: _walk(part, *args), ids[: b // 2], ids[b // 2 :])
-
-    def join(parts):  # one walk's value as it is, else joined along the batch axis
-        if len(parts) == 1 or parts[0] is None:
-            return parts[0]
-        return Tensor(join([p.data for p in parts])) if isinstance(parts[0], Tensor) else np.concatenate(parts)
-
-    exit_lists, adaptives, exit_ats, zattns, gates = zip(*walks)
-    exits = [join(e) for e in zip(*exit_lists)]
-    adaptive, exit_at = join(adaptives), join(exit_ats)
-    zero_attn, gate = ({n: [float(join(a).mean()) for a in zip(*(m[n] for m in ms))] for n in ms[0]}
-                       for ms in (zattns, gates))
+    exits, adaptive, exit_at, zattn, gates = _walk(ids, params, config, capture_exits, exit_threshold)
+    zero_attn, gate = ({n: [float(a.mean()) for a in arrays] for n, arrays in m.items()} for m in (zattn, gates))
     if squeeze:
         exits = [ad.reshape(e, (t, config.vocab)) for e in exits]
         if adaptive is not None:

@@ -19,7 +19,10 @@ from .autodiff import Tape, Tensor, backward
 from .config import RunConfig
 from .data import BatchPlan, check_ids_fit, next_batch
 from .errors import ConfigError, TrainingDiverged
-from .model import ModelConfig, ModelParameters, aggregate, forward, init_parameters, run_halves
+from .model import (
+    ModelConfig, ModelParameters, aggregate, forward, init_parameters, merge_halves, run_halves, split_batch,
+    weighted,
+)
 from .optim import AdamW
 
 METRICS_COLUMNS = (
@@ -200,11 +203,6 @@ def _check_grads_finite(params: dict[str, Tensor], step: int, loss: float) -> No
             raise TrainingDiverged(step, loss, param=name)
 
 
-def _weighted(weights, values) -> float:
-    """The mean of `values` weighted by `weights`; a lone value as it is."""
-    return sum(w * v for w, v in zip(weights, values)) / sum(weights)
-
-
 def _record_half(inputs, targets, params, config, weight) -> tuple:
     """A half's forward, multi-exit loss and loss scaled by `weight` under its
     own tape: (tape, scaled, loss, per-exit losses, zero_attn, gate)."""
@@ -243,7 +241,7 @@ def train(
     checkpoint retraces the uninterrupted trajectory bit for bit.
 
     A micro-batch of B >= 2 windows runs windows ..B//2 on the calling
-    thread and B//2.. on the helper (`model.run_halves`), each under its own
+    thread and B//2.. on the helper (`model.split_batch`), each under its own
     tape with its loss scaled by its share and checked before either sweep;
     the sweeps add into one gradient set in turns (`autodiff.backward`).
     Logged means weight each half by its windows. B = 1 runs on the caller.
@@ -268,25 +266,23 @@ def train(
         gates: dict[int, list[float]] = {}
         for micro in range(plan.grad_accum):
             inputs, targets = next_batch(bp, train_ids, step * plan.grad_accum + micro)
-            b = len(inputs)
-            ns = [b // 2, b - b // 2] if b >= 2 else [b]
-            jobs = [(inputs[o : o + n], targets[o : o + n], params, config, n / (b * plan.grad_accum))
-                    for o, n in zip((0, b // 2), ns)]
-            halves = run_halves(lambda job: _record_half(*job), *jobs) if b >= 2 else [_record_half(*jobs[0])]
+            windows = len(inputs) * plan.grad_accum
+            halves, ns = split_batch(
+                lambda x, y: _record_half(x, y, params, config, len(x) / windows), inputs, targets)
             tapes, scaled, values, per_exits, zattns, gate_maps = zip(*halves)
-            value = _weighted(ns, values)
+            value = weighted(ns, values)
             if not math.isfinite(value):
                 raise TrainingDiverged(step, value)
             for merged, maps in ((zattn, zattns), (gates, gate_maps)):
-                for cycle in maps[0]:
-                    merged.setdefault(cycle, []).extend(_weighted(ns, v) for v in zip(*(m[cycle] for m in maps)))
-            if b >= 2:
+                for cycle, means in merge_halves(ns, maps).items():
+                    merged.setdefault(cycle, []).extend(means)
+            if len(halves) == 2:
                 tapes[0].pair(tapes[1])
                 run_halves(lambda half: _sweep_half(*half), *zip(tapes, scaled))
             else:
                 backward(tapes[0], scaled[0])
             step_loss += value / plan.grad_accum
-            per_exit_acc = [a + _weighted(ns, xs) / plan.grad_accum
+            per_exit_acc = [a + weighted(ns, xs) / plan.grad_accum
                             for a, xs in zip(per_exit_acc or [0.0] * len(per_exits[0]), zip(*per_exits))]
         _check_grads_finite(optimizer.params, step, step_loss)
         logged = metrics is not None and (step % plan.log_interval == 0 or step == plan.steps - 1)

@@ -19,7 +19,7 @@ from cycleformer.config import RunConfig, model_config
 from cycleformer.data import ByteVocabulary, make_synthetic_corpus
 from cycleformer.errors import UsageError
 from cycleformer.model import (
-    FFN_CHUNK_ROWS,
+    FFN_BLOCKS,
     ModelConfig,
     _lm_logits,
     attention_with_zero_token,
@@ -131,10 +131,11 @@ def test_fused_record_matches_op_chain_bitwise(name):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_fused_record_matches_op_chain_across_ffn_chunks(name):
-    # 150 rows: several full FFN chunks and a partial one, so the GELU and
-    # its gradient cross chunk seams.
+    # 150 rows: FFN row blocks of ceil(150 / 4) = 38 rows, three full and a
+    # partial last one, so the GELU and its gradient cross block seams.
     b, t = 3, 50
-    assert b * t > FFN_CHUNK_ROWS and (b * t) % FFN_CHUNK_ROWS
+    rows = -(-b * t // FFN_BLOCKS)
+    assert b * t > rows * (FFN_BLOCKS - 1) and (b * t) % rows
     assert_fused_matches_op_chain(name, b, t)
 
 

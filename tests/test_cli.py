@@ -1,8 +1,12 @@
 """Command line behavior: workflows, output channels, exit codes."""
+import hashlib
+import json
 import os
+import platform
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,25 @@ def test_eval_reports(workspace, capsys):
     assert "adaptive (threshold 0.5" in out and "avg_loop" in out
     counts = out.split("exits by cycle: ")[1].splitlines()[0].split()
     assert [c.split(":")[0] for c in counts] == ["1", "2"]
+
+
+def test_eval_prints_a_manifest_of_its_environment(workspace, capsys, monkeypatch):
+    _, ckpt = train_small(workspace)
+    capsys.readouterr()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["eval", "--ckpt", ckpt, "--data", os.fspath(workspace / "corpus.bin")]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("manifest ")
+    got = json.loads(last[len("manifest "):])
+    assert set(got) == {"python", "numpy", "blas", "blas_threads", "nproc", "package_sha256"}
+    assert got["python"] == platform.python_version() and got["numpy"] == np.__version__
+    assert got["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1" and got["blas_threads"]["MKL_NUM_THREADS"] is None
+    assert got["nproc"] >= 1
+    h = hashlib.sha256()
+    for path in sorted(Path(cycleformer.__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert got["package_sha256"] == h.hexdigest()
 
 
 def test_eval_threshold_none_and_bad_value(workspace, capsys):

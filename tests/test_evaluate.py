@@ -1,14 +1,22 @@
-"""Evaluation reports, adaptive per-position scoring, and layout enumeration."""
+"""Evaluation reports, adaptive per-position scoring, the two-thread split of
+each window group, and layout enumeration."""
 import math
+import sys
+import threading
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycleformer.evaluate as evaluate_mod
+import cycleformer.model as model_mod
 from cycleformer.adaptive import ExitPolicy
-from cycleformer.autodiff import softmax_np
-from cycleformer.config import RunConfig
+from cycleformer.autodiff import Tape, softmax_np
+from cycleformer.config import RunConfig, model_config
 from cycleformer.errors import ConfigError, DataError
 from cycleformer.evaluate import (
     EvalReport,
@@ -17,7 +25,7 @@ from cycleformer.evaluate import (
     evaluate,
     format_sweep,
 )
-from cycleformer.model import ModelConfig, forward, init_parameters
+from cycleformer.model import ModelConfig, aggregate, forward, init_parameters
 
 from exit_oracle import batch_oracle
 
@@ -98,10 +106,11 @@ def test_empty_batches_rejected(kw):
 
 
 def test_cycle_stats_weight_each_window_group_by_its_tokens():
-    # Ten windows at batch 4: groups of 4, 4 and 2 windows, so the partial
-    # last group counts half as much as each full one.
+    # Ten windows at batch 3: groups of 3, 3, 3 and 1 windows, so the partial
+    # last group counts a third as much as each full one. A full group's
+    # halves hold 1 and 2 windows, and each half's means count by its windows.
     cfg, params = make_model()
-    t, n_win, batch = cfg.t_max, 10, 4
+    t, n_win, batch = cfg.t_max, 10, 3
     ids = corpus(n_win * t + 1, seed=5)
     report = evaluate(params, cfg, ids, batch=batch)
     groups = [
@@ -109,16 +118,23 @@ def test_cycle_stats_weight_each_window_group_by_its_tokens():
         for s in range(0, n_win, batch)
     ]
     toks = [g.size for g in groups]
-    assert toks == [4 * t, 4 * t, 2 * t] and report.n_tokens == sum(toks)
-    results = [forward(g, params, cfg) for g in groups]
+    assert toks == [3 * t, 3 * t, 3 * t, t] and report.n_tokens == sum(toks)
+    halves = [[g[:1], g[1:]] if len(g) > 1 else [g] for g in groups]
+    results = [[forward(h, params, cfg) for h in hs] for hs in halves]
     assert [c.cycle for c in report.cycles] == [1, 2, 3]
     for stat in report.cycles:
         for name in ("zero_attn", "gate"):
-            per_group = [np.mean(getattr(r, name)[stat.cycle]) for r in results]
+            per_group = [
+                np.dot([np.mean(getattr(r, name)[stat.cycle]) for r in rs], [len(h) for h in hs]) / sum(map(len, hs))
+                for rs, hs in zip(results, halves)
+            ]
             want = np.dot(per_group, toks) / sum(toks)
             assert getattr(stat, name) == pytest.approx(want, rel=1e-12, abs=0.0)
-            # The weighting matters: an unweighted mean of the groups differs.
+            # Both weightings matter: an unweighted mean of the groups, or of
+            # each group's halves, differs.
             assert abs(want - np.mean(per_group)) > 1e-9
+            by_halves = [np.mean([np.mean(getattr(r, name)[stat.cycle]) for r in rs]) for rs in results]
+            assert abs(want - np.dot(by_halves, toks) / sum(toks)) > 1e-9
 
 
 def test_evaluate_reports_the_same_from_uint16_or_int64_ids():
@@ -214,6 +230,243 @@ def test_higher_threshold_never_lowers_avg_loop():
     ]
     assert all(b >= a for a, b in zip(loops, loops[1:]))
     assert loops[0] == 1.0 and loops[-1] == float(cfg.loop_count)
+
+
+# ---------------------------------------------------------------------------
+# each half of a window group walks and is scored on its own thread
+
+
+def _spy_forwards(monkeypatch):
+    """Record (thread, windows) of every forward evaluate makes."""
+    calls = []
+    inner = evaluate_mod.forward
+
+    def spy(ids, *args, **kwargs):
+        calls.append((threading.current_thread(), len(ids)))
+        return inner(ids, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate_mod, "forward", spy)
+    return calls
+
+
+def walked_report(params, cfg, ids, threshold, batch, halves):
+    """The fields of `evaluate`'s report, rebuilt on this thread from taped
+    forwards (which walk here): the NLLs, exit counts and avg_loop from the
+    logits of each whole window group, or with `halves` of its two halves
+    joined; the per-cycle means from the halves', weighted by windows."""
+    t = cfg.t_max
+    n_win = (len(ids) - 1) // t
+    nll, ada, counts, n_tok = np.zeros(cfg.n_exits), 0.0, np.zeros(cfg.loop_count, np.int64), 0
+    cycles = {"zero_attn": {}, "gate": {}}
+    for start in range(0, n_win, batch):
+        x = np.stack([ids[w * t : w * t + t] for w in range(start, min(start + batch, n_win))])
+        y = np.stack([ids[w * t + 1 : w * t + t + 1] for w in range(start, min(start + batch, n_win))])
+        b = len(x)
+        parts = [slice(0, b // 2), slice(b // 2, b)] if b >= 2 else [slice(0, b)]
+        with Tape():
+            split = [forward(x[p], params, cfg, capture_exits=True, exit_threshold=threshold) for p in parts]
+            whole = forward(x, params, cfg, capture_exits=True, exit_threshold=threshold)
+        scored = list(zip(split, parts)) if halves else [(whole, slice(0, b))]
+        nll += np.stack([
+            np.concatenate([evaluate_mod._nll(r.exit_logits[i].data, y[p]) for r, p in scored])
+            for i in range(cfg.n_exits)
+        ]).sum(axis=(1, 2))
+        if threshold is not None:
+            ada += np.concatenate([evaluate_mod._nll(r.adaptive_logits.data, y[p]) for r, p in scored]).sum()
+            counts += np.bincount(np.concatenate([r.exit_cycle for r, _ in scored]).ravel() - 1,
+                                  minlength=cfg.loop_count)
+        for name, sums in cycles.items():
+            for n in getattr(split[0], name):
+                means = [sum((p.stop - p.start) * getattr(r, name)[n][j] for r, p in zip(split, parts)) / b
+                         for j in range(len(getattr(split[0], name)[n]))]
+                sums[n] = sums.get(n, 0.0) + aggregate(means) * y.size
+        n_tok += y.size
+    zattn, gate = cycles["zero_attn"], cycles["gate"]
+    out = {
+        "exits": [v / n_tok for v in nll],
+        "cycles": {n: (zattn[n] / n_tok if n in zattn else None, gate[n] / n_tok if n in gate else None)
+                   for n in sorted(zattn | gate)},
+    }
+    if threshold is not None:
+        out["adaptive"] = (ada / n_tok, int(counts @ np.arange(1, cfg.loop_count + 1)) / n_tok, tuple(counts))
+    return out
+
+
+def assert_report_is(report, want):
+    assert [e.loss for e in report.exits] == want["exits"]
+    assert {c.cycle: (c.zero_attn, c.gate) for c in report.cycles} == want["cycles"]
+    if "adaptive" in want:
+        a = report.adaptive
+        assert (a.loss, a.avg_loop, a.exit_counts) == want["adaptive"]
+    else:
+        assert report.adaptive is None
+
+
+@pytest.mark.parametrize("variant,kw,thresholds", [
+    ("V", {"n": 1, "l": 3}, [None]),
+    ("BC", {}, [None]),
+    ("HTC", {}, [None]),
+    ("HTC", {"use_zero_token": True}, [None, 0.5, 1.0]),
+    ("ZTT", {}, [None, 0.5, 1.0]),
+])
+def test_evaluate_walks_each_half_of_a_group_on_its_own_thread(variant, kw, thresholds, monkeypatch):
+    # Five windows at batch 3: a group of 3 (1 window here, 2 on the
+    # helper), then one of 2 (1 and 1); at batch 1 every window walks here.
+    cfg, params = make_model(variant, **{"l": 4, "n": 3, "dtype": np.float32, **kw})
+    ids = corpus(5 * cfg.t_max + 1, seed=11)
+    caller = threading.current_thread()
+    calls = _spy_forwards(monkeypatch)
+    for threshold in thresholds:
+        calls.clear()
+        report = evaluate(params, cfg, ids, ExitPolicy(threshold), batch=3)
+        # A group's two halves may start in either order, but both finish
+        # before the next group starts.
+        groups = [sorted((th is caller, n) for th, n in calls[i : i + 2]) for i in (0, 2)]
+        assert len(calls) == 4 and groups == [[(False, 2), (True, 1)], [(False, 1), (True, 1)]]
+        assert all(th.name == "cycleformer-walk" for th, _ in calls if th is not caller)
+        assert_report_is(report, walked_report(params, cfg, ids, threshold, 3, halves=True))
+        calls.clear()
+        one = evaluate(params, cfg, ids, ExitPolicy(threshold), batch=1)
+        assert calls == [(caller, 1)] * 5
+        assert_report_is(one, walked_report(params, cfg, ids, threshold, 1, halves=True))
+
+
+@pytest.mark.parametrize("b", [2, 5, 8])
+def test_evaluate_at_the_canonical_shape_scores_the_whole_group_walk_bitwise(b):
+    # At T=64 the halves' logits are bitwise the whole group's, so every NLL,
+    # exit count and avg_loop is that of one walk of the whole group.
+    cfg = model_config(RunConfig(early_exit_heads=True))
+    params = init_parameters(cfg, seed=35, dtype=np.float32)
+    ids = corpus(b * cfg.t_max + 1, vocab=cfg.vocab, seed=36 + b)
+    for threshold in (None, 0.5, 1.0):
+        report = evaluate(params, cfg, ids, ExitPolicy(threshold), batch=b)
+        assert_report_is(report, walked_report(params, cfg, ids, threshold, b, halves=False))
+
+
+def test_evaluate_on_short_windows_scores_its_halves_walked_alone():
+    # At T=7 the halves' GEMMs take other OpenBLAS kernels than the whole
+    # group's can, so the contract is the two halves' one-thread walks,
+    # scored and joined in window order.
+    cfg = replace(model_config(RunConfig(early_exit_heads=True)), t_max=7)
+    params = init_parameters(cfg, seed=37, dtype=np.float32)
+    ids = corpus(3 * cfg.t_max + 1, vocab=cfg.vocab, seed=38)
+    for threshold in (None, 0.5, 1.0):
+        report = evaluate(params, cfg, ids, ExitPolicy(threshold), batch=3)
+        assert_report_is(report, walked_report(params, cfg, ids, threshold, 3, halves=True))
+
+
+def _two_window_model(seed):
+    cfg, params = make_model("ZTT", l=4, n=3, dtype=np.float32, seed=seed)
+    return cfg, params, corpus(2 * cfg.t_max + 1, seed=seed + 1)
+
+
+def test_an_error_in_the_helpers_half_is_raised_by_evaluate(monkeypatch):
+    cfg, params, ids = _two_window_model(29)
+    want = evaluate(params, cfg, ids, ExitPolicy(0.5), batch=2)
+    caller = threading.current_thread()
+    inner = model_mod._lm_logits
+    failed = []
+
+    def fail_once_on_the_helper(h, params):
+        if threading.current_thread() is not caller and not failed:
+            failed.append(threading.current_thread())
+            raise RuntimeError("helper half failed")
+        return inner(h, params)
+
+    monkeypatch.setattr(model_mod, "_lm_logits", fail_once_on_the_helper)
+    with pytest.raises(RuntimeError, match="helper half failed"):
+        evaluate(params, cfg, ids, ExitPolicy(0.5), batch=2)
+    assert len(failed) == 1
+    assert repr(evaluate(params, cfg, ids, ExitPolicy(0.5), batch=2)) == repr(want)
+
+
+def test_a_failed_evaluate_raises_only_after_the_helpers_half_finishes(monkeypatch):
+    # The caller's half raises at its first LM head while the helper's half
+    # is slow: evaluate waits for all four of the helper's LM heads (exits 1
+    # and 2, the gathered tail, the final tail) and its scoring before it
+    # raises.
+    cfg, params, ids = _two_window_model(33)
+    want = evaluate(params, cfg, ids, ExitPolicy(0.5), batch=2)
+    caller = threading.current_thread()
+    inner_head, inner_nll = model_mod._lm_logits, evaluate_mod._nll
+    finished, scored = [], []
+
+    def slow_on_the_helper_failing_here(h, params):
+        if threading.current_thread() is caller:
+            raise RuntimeError("caller half failed")
+        time.sleep(0.05)
+        finished.append(inner_head(h, params))
+        return finished[-1]
+
+    def count(logits, targets):
+        scored.append(threading.current_thread())
+        return inner_nll(logits, targets)
+
+    monkeypatch.setattr(model_mod, "_lm_logits", slow_on_the_helper_failing_here)
+    monkeypatch.setattr(evaluate_mod, "_nll", count)
+    with pytest.raises(RuntimeError, match="caller half failed"):
+        evaluate(params, cfg, ids, ExitPolicy(0.5), batch=2)
+    assert len(finished) == cfg.n_exits + 1
+    assert len(scored) == cfg.n_exits + 1 and caller not in scored
+    monkeypatch.setattr(model_mod, "_lm_logits", inner_head)
+    assert repr(evaluate(params, cfg, ids, ExitPolicy(0.5), batch=2)) == repr(want)
+
+
+def test_concurrent_evaluates_share_one_helper_and_get_their_own_reports():
+    # Four callers on two cores, switching threads every microsecond: each
+    # gets its own corpus's report back, and all of them share one helper.
+    cfg, params = make_model("ZTT", l=4, n=3, dtype=np.float32, seed=31)
+    corpora = [corpus(2 * cfg.t_max + 1, seed=32 + i) for i in range(4)]
+
+    def run(ids):
+        return repr(evaluate(params, cfg, ids, ExitPolicy(0.5), batch=2))
+
+    want = [run(ids) for ids in corpora]
+    got: dict[int, list] = {i: [] for i in range(len(corpora))}
+    errors = []
+
+    def caller(i):
+        try:
+            for _ in range(5):
+                got[i].append(run(corpora[i]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(corpora))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert sum(t.name == "cycleformer-walk" for t in threading.enumerate()) == 1
+    assert got == {i: [want[i]] * 5 for i in range(len(corpora))}
+
+
+def test_evaluate_never_holds_a_joined_copy_of_the_logits(monkeypatch):
+    # Joining the halves' logits held every exit's logits twice at once (the
+    # halves' and the joined copy): 2 * (n_exits + 1) * B * T * vocab float32
+    # bytes at the canonical shape, 4.05 MB. Scoring each half where it was
+    # walked stays well below that. The halves run one after the other here,
+    # so the traced peak does not depend on how two threads' walks overlap.
+    monkeypatch.setattr(model_mod, "run_halves", lambda fn, first, second: (fn(first), fn(second)))
+    cfg = model_config(RunConfig(early_exit_heads=True))
+    params = init_parameters(cfg, seed=39, dtype=np.float32)
+    b = 8
+    ids = corpus(b * cfg.t_max + 1, vocab=cfg.vocab, seed=40)
+    joined = 2 * (cfg.n_exits + 1) * b * cfg.t_max * cfg.vocab * 4
+    evaluate(params, cfg, ids, ExitPolicy(0.5), batch=b)  # warm caches and the helper up
+    tracemalloc.start()
+    try:
+        evaluate(params, cfg, ids, ExitPolicy(0.5), batch=b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < joined, (peak, joined)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Model forward: brute-force attention oracle, zero-token identities,
 parameter accounting, retrofit equivalence, full-model gradient checks."""
 import math
-import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -368,7 +366,7 @@ def test_zero_attention_invariant_to_batch_permutation():
 
 
 # ---------------------------------------------------------------------------
-# half of an untaped batch walks on the helper thread
+# forward walks on the calling thread; train and evaluate split their batches
 
 
 def assert_same_forward(a, b):
@@ -405,6 +403,8 @@ def _spy_walks(monkeypatch):
     ("ZTT", {}, [None, 0.5, 1.0]),
 ])
 def test_untaped_forward_is_bitwise_the_taped_one(variant, kw, thresholds, monkeypatch):
+    # Taped or not, forward is one walk of the whole batch on the calling
+    # thread: the helper runs only what `split_batch` hands it.
     kw = {"l": 4, "n": 3, "d": 16, "heads": 4, "dff": 32, **kw}
     cfg = tiny(variant, **kw)
     params = init_parameters(cfg, seed=27, dtype=np.float32)
@@ -418,9 +418,7 @@ def test_untaped_forward_is_bitwise_the_taped_one(variant, kw, thresholds, monke
         assert len(tape) > 0 and walks == [(caller, 3)]
         walks.clear()
         untaped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
-        # Window 0 walked here, windows 1-2 on the helper.
-        assert walks[0] == (caller, 1) and len(walks) == 2
-        assert walks[1][0] is not caller and walks[1][1] == 2
+        assert walks == [(caller, 3)]
         assert len(untaped.exit_logits) == cfg.n_exits
         assert_same_forward(taped, untaped)
         walks.clear()
@@ -433,127 +431,56 @@ def test_untaped_forward_is_bitwise_the_taped_one(variant, kw, thresholds, monke
 
 @pytest.mark.parametrize("b", [2, 5, 8])
 def test_untaped_forward_at_the_canonical_shape_is_bitwise_the_whole_batch_walk(b):
+    # The property `evaluate`'s split keeps its bits by: at T=64 the untaped
+    # forwards of the two halves, joined along the batch axis, are bitwise
+    # the whole batch's walk, and each half's per-cycle means weighted by its
+    # windows are the whole batch's within float32 rounding of the sums.
     cfg = model_config(RunConfig(early_exit_heads=True))
     params = init_parameters(cfg, seed=35, dtype=np.float32)
     ids = np.random.default_rng(36 + b).integers(0, cfg.vocab, size=(b, cfg.t_max))
     for threshold in (None, 0.5, 1.0):
         with Tape():
-            taped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
-        untaped = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
-        assert_same_forward(taped, untaped)
-
-
-def test_untaped_forward_on_short_windows_is_bitwise_its_halves_walked_alone():
-    # At T=7 the halves' GEMMs take other OpenBLAS kernels than the whole
-    # batch's can, so the contract is the two halves' one-thread walks,
-    # joined along the batch axis, with the per-cycle means taken after.
-    cfg = replace(model_config(RunConfig(early_exit_heads=True)), t_max=7)
-    params = init_parameters(cfg, seed=37, dtype=np.float32)
-    ids = np.random.default_rng(38).integers(0, cfg.vocab, size=(3, 7))
-    for threshold in (None, 0.5, 1.0):
-        got = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
-        with Tape():
-            halves = [model_mod._walk(part, params, cfg, True, threshold) for part in (ids[:1], ids[1:])]
-        (exits_a, ada_a, at_a, za, ga), (exits_b, ada_b, at_b, zb, gb) = halves
-        assert len(got.exit_logits) == len(exits_a) == cfg.n_exits
-        for x, ea, eb in zip(got.exit_logits, exits_a, exits_b):
-            np.testing.assert_array_equal(x.data, np.concatenate([ea.data, eb.data]))
+            whole = forward(ids, params, cfg, capture_exits=True, exit_threshold=threshold)
+        halves = [forward(part, params, cfg, capture_exits=True, exit_threshold=threshold)
+                  for part in (ids[: b // 2], ids[b // 2 :])]
+        for i, x in enumerate(whole.exit_logits):
+            np.testing.assert_array_equal(x.data, np.concatenate([h.exit_logits[i].data for h in halves]))
         if threshold is None:
-            assert got.adaptive_logits is None and got.exit_cycle is None
+            assert all(h.adaptive_logits is None and h.exit_cycle is None for h in halves)
         else:
-            np.testing.assert_array_equal(got.adaptive_logits.data, np.concatenate([ada_a.data, ada_b.data]))
-            np.testing.assert_array_equal(got.exit_cycle, np.concatenate([at_a, at_b]))
-        for means, a, b in ((got.zero_attn, za, zb), (got.gate, ga, gb)):
-            assert means == {n: [float(np.concatenate([x, y]).mean()) for x, y in zip(a[n], b[n])] for n in a}
+            np.testing.assert_array_equal(
+                whole.adaptive_logits.data, np.concatenate([h.adaptive_logits.data for h in halves]))
+            np.testing.assert_array_equal(whole.exit_cycle, np.concatenate([h.exit_cycle for h in halves]))
+        windows = [b // 2, b - b // 2]
+        for name in ("zero_attn", "gate"):
+            merged = model_mod.merge_halves(windows, [getattr(h, name) for h in halves])
+            assert merged.keys() == getattr(whole, name).keys()
+            for n, means in merged.items():
+                assert means == pytest.approx(getattr(whole, name)[n], rel=1e-6, abs=0.0)
 
 
-def test_an_error_in_the_helpers_half_is_raised_by_the_caller(monkeypatch):
-    cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
-    params = init_parameters(cfg, seed=29, dtype=np.float32)
-    ids = np.random.default_rng(30).integers(0, cfg.vocab, size=(2, 6))
-    want = forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
+def test_split_batch_walks_the_second_half_on_the_helper():
     caller = threading.current_thread()
-    inner = model_mod._lm_logits
-    failed = []
+    seen = []
 
-    def fail_once_on_the_helper(h, params):
-        if threading.current_thread() is not caller and not failed:
-            failed.append(threading.current_thread())
-            raise RuntimeError("helper half failed")
-        return inner(h, params)
+    def record(x, y):
+        seen.append((threading.current_thread(), x.tolist(), y.tolist()))
+        return x.sum() + y.sum()
 
-    monkeypatch.setattr(model_mod, "_lm_logits", fail_once_on_the_helper)
-    with pytest.raises(RuntimeError, match="helper half failed"):
-        forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
-    assert len(failed) == 1
-    assert_same_forward(want, forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5))
-
-
-def test_a_failed_forward_raises_only_after_the_helpers_half_finishes(monkeypatch):
-    # The caller's half raises at its first LM head while the helper's half
-    # is slow: forward waits for all four of the helper's LM heads (exits 1
-    # and 2, the gathered tail, the final tail) before it raises.
-    cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
-    params = init_parameters(cfg, seed=33, dtype=np.float32)
-    ids = np.random.default_rng(34).integers(0, cfg.vocab, size=(2, 6))
-    want = forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
-    caller = threading.current_thread()
-    inner = model_mod._lm_logits
-    finished = []
-
-    def slow_on_the_helper_failing_here(h, params):
-        if threading.current_thread() is caller:
-            raise RuntimeError("caller half failed")
-        time.sleep(0.05)
-        finished.append(inner(h, params))
-        return finished[-1]
-
-    monkeypatch.setattr(model_mod, "_lm_logits", slow_on_the_helper_failing_here)
-    with pytest.raises(RuntimeError, match="caller half failed"):
-        forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
-    assert len(finished) == cfg.n_exits + 1
-    monkeypatch.setattr(model_mod, "_lm_logits", inner)
-    assert_same_forward(want, forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5))
+    x, y = np.arange(5), np.arange(10, 15)
+    assert model_mod.split_batch(record, x, y) == ([22, 48], [2, 3])
+    (t0, x0, y0), (t1, x1, y1) = sorted(seen, key=lambda s: s[1])
+    assert t0 is caller and (x0, y0) == ([0, 1], [10, 11])
+    assert t1 is not caller and t1.name == "cycleformer-walk" and (x1, y1) == ([2, 3, 4], [12, 13, 14])
+    seen.clear()
+    assert model_mod.split_batch(record, x[:1], y[:1]) == ([10], [1])
+    assert [s[0] for s in seen] == [caller]
 
 
-def test_concurrent_untaped_forwards_share_one_helper_and_get_their_own_results():
-    # Four callers on two cores, switching threads every microsecond: each
-    # gets its own batch's outputs back, and all of them share one helper.
-    cfg = tiny("ZTT", l=4, n=3, d=16, heads=4, dff=32)
-    params = init_parameters(cfg, seed=31, dtype=np.float32)
-    rng = np.random.default_rng(32)
-    batches = [rng.integers(0, cfg.vocab, size=(2, 6)) for _ in range(4)]
-
-    def run(ids):
-        return forward(ids, params, cfg, capture_exits=True, exit_threshold=0.5)
-
-    want = [run(ids) for ids in batches]
-    got: dict[int, list] = {i: [] for i in range(len(batches))}
-    errors = []
-
-    def caller(i):
-        try:
-            for _ in range(5):
-                got[i].append(run(batches[i]))
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(batches))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and errors == []
-    assert sum(t.name == "cycleformer-walk" for t in threading.enumerate()) == 1
-    for i, runs in got.items():
-        assert len(runs) == 5
-        for res in runs:
-            assert_same_forward(want[i], res)
+def test_merge_halves_weights_each_half_by_its_windows():
+    maps = [{1: [0.25, 0.5], 2: [1.0]}, {1: [0.75, 0.5], 2: [4.0]}]
+    assert model_mod.merge_halves([1, 3], maps) == {1: [0.625, 0.5], 2: [3.25]}
+    assert model_mod.merge_halves([1], maps[:1]) == maps[0]  # one window: its own means
 
 
 def closed_form_param_count(cfg):
