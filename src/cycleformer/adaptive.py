@@ -6,13 +6,14 @@ with no tape: the head, then the cycles one at a time. After cycle n the
 position's own zero-slot attention (averaged over heads, then over the
 cycle's applications) is compared with the policy threshold, and the
 first cycle that reaches it triggers an exit through the shared tail.
-Per-slot K/V caches are positionally indexed (after row 0, the zero
+The cache's K/V arrays are positionally indexed (after row 0, the zero
 token's, where the application has one); when a later position runs
 deeper than an earlier one, the earlier position's skipped middle-cycle
-entries are recomputed lazily (in position order, so every attention
-read sees a complete prefix). A position's tail entry is written once, at
-its own exit, and is never revised by later deepening; its emitted logits
-are final.
+rows are recomputed lazily (in position order, so every attention read
+sees a complete prefix). A position's tail row is written once, at its
+own exit, and is never revised by later deepening; its emitted logits
+are final. `_walk` writes every field of the cache; this module only
+reads it.
 
 The walk calls the blocks through `model`'s module globals, so wrappers
 set there reach decode too: the benchmark's traced `generate` records
@@ -52,21 +53,16 @@ class ExitPolicy:
 def decode_step(cache: DecodeCache, token_id: int, policy: ExitPolicy | None = None):
     """Process one token; returns (next-token logits (V,), cycles used).
 
-    `model._walk` walks the schedule over the cache: before cycle n it
-    deepens the earlier positions to n finished cycles. With an adaptive
-    policy the position exits after the first cycle whose mean
-    zero-attention reaches the threshold; fixed policies run every cycle.
+    `model._walk` walks the schedule over the cache and keeps its books:
+    before cycle n it deepens the earlier positions to n finished cycles,
+    and it refuses a full context. With an adaptive policy the position
+    exits after the first cycle whose mean zero-attention reaches the
+    threshold; fixed policies run every cycle.
     """
     policy = policy or ExitPolicy()
-    config = cache.config
-    config.check_exit_threshold(policy.threshold)
-    if cache.n_pos >= config.t_max:
-        raise UsageError(f"context is full at t_max={config.t_max} positions")
-    exits, _, exit_at, _, _ = _walk(np.array([[token_id]]), cache.params, config, False, policy.threshold, cache)
-    used = config.n_exits if exit_at is None else int(exit_at[0, 0])
-    cache.n_pos += 1
-    cache.cycles_used.append(used)
-    return exits[-1].data[0, 0], used
+    cache.config.check_exit_threshold(policy.threshold)
+    exits = _walk(np.array([[token_id]]), cache.params, cache.config, False, policy.threshold, cache)[0]
+    return exits[-1].data[0, 0], cache.cycles_used[-1]
 
 
 @dataclass

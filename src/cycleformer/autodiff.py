@@ -142,23 +142,22 @@ class Tape:
     def __init__(self):
         self._records: list = []
         self._token = None
-        self._pair = None  # (shared per record, turn semaphores, stop event, side)
+        self._pair = None  # (turn semaphores, stop event, side)
 
     def pair(self, second: "Tape") -> None:
         """Sweep this tape and `second` (the same record sequence over the same
-        parameters) at the same time on two threads: see `backward`."""
+        parameters) at the same time on two threads, taking turns at every
+        record: see `backward`."""
         if [len(r[1]) for r in self._records] != [len(r[1]) for r in second._records]:
             raise UsageError("paired tapes must hold the same record sequence")
-        shared = [any(s is t and s is not None for s, t in zip(x[1], y[1]))
-                  for x, y in zip(self._records, second._records)]
         turns, stopped = (threading.Semaphore(1), threading.Semaphore(0)), threading.Event()
-        self._pair, second._pair = (shared, turns, stopped, 0), (shared, turns, stopped, 1)
+        self._pair, second._pair = (turns, stopped, 0), (turns, stopped, 1)
 
     def stop_pair(self) -> None:
         """Stop a paired sweep and free the partner, waiting or not: it
         returns instead of waiting for this side's turn. No-op unpaired."""
         if self._pair is not None:
-            _, turns, stopped, side = self._pair
+            turns, stopped, side = self._pair
             stopped.set()
             turns[1 - side].release()
 
@@ -182,15 +181,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
     gradient be adopted without a copy.
 
     A tape paired by `Tape.pair` is swept while its partner is swept on
-    another thread. The rules run at the same time, but the adds of a record
-    that holds a parameter take turns: the first tape's for record i, then
-    the second's, then record i-1's, so the bits do not depend on
-    scheduling. (The other records touch slots of one tape alone.) A first
+    another thread. The rules run at the same time, but the adds take turns
+    at every record: the first tape's for record i, then the second's, then
+    record i-1's. So every slot, the shared parameters' included, receives
+    its adds in one order, and the bits do not depend on scheduling. A first
     gradient adopted by one side may be added into by the other: by the
     aliasing rule, nothing else reads it. A sweep that raises stops the
     pair: the other returns instead of waiting.
     """
-    shared, turns, stopped, side = tape._pair or (None, None, None, 0)
+    turns, stopped, side = tape._pair or (None, None, 0)
     records = tape._records
     try:
         if not any(out is loss.slot for out, _, _ in records):
@@ -202,8 +201,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
             out, inputs, rule = records.pop()
             g_out, out.grad = out.grad, None
             terms = () if g_out is None else zip(inputs, rule(g_out), strict=True)
-            turn = shared is not None and shared[len(records)]
-            if turn:
+            if turns is not None:
                 turns[side].acquire()  # released by the partner's turn before this one
                 if stopped.is_set():
                     return
@@ -214,7 +212,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
                     slot.grad = np.asarray(g)
                 else:
                     slot.grad += g
-            if turn:
+            if turns is not None:
                 turns[1 - side].release()
     except BaseException:
         tape.stop_pair()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .adaptive import ExitPolicy
 from .config import RunConfig, model_config
-from .data import check_ids_fit
+from .data import check_ids_fit, window_count
 from .errors import ConfigError, DataError
 from .model import ModelConfig, ModelParameters, aggregate, forward, merge_halves, param_count, split_batch
 from .train import plan_from_run, train
@@ -110,7 +110,7 @@ def evaluate(
     t = config.t_max
     ids = np.asarray(ids)  # widened to int64 per window group, not as a whole
     check_ids_fit(ids, config.vocab, "data")
-    n_win = (len(ids) - 1) // t
+    n_win = window_count(len(ids), t)
     if n_win < 1:
         raise DataError(f"need at least {t + 1} tokens for one window, got {len(ids)}")
     n_exits = config.n_exits
@@ -124,9 +124,9 @@ def evaluate(
     for start in range(0, n_win, batch):
         if max_batches is not None and n_batches >= max_batches:
             break
-        windows = range(start, min(start + batch, n_win))
-        inputs = np.stack([ids[w * t : w * t + t] for w in windows]).astype(np.int64, copy=False)
-        targets = np.stack([ids[w * t + 1 : w * t + t + 1] for w in windows]).astype(np.int64, copy=False)
+        stop = min(start + batch, n_win) * t
+        inputs = ids[start * t : stop].reshape(-1, t).astype(np.int64, copy=False)
+        targets = ids[start * t + 1 : stop + 1].reshape(-1, t).astype(np.int64, copy=False)
         halves, ns = split_batch(lambda x, y: _score(x, y, params, config, policy), inputs, targets)
         per_exits, adas, exit_cycles, zattns, gates = zip(*halves)
         toks = targets.size

@@ -88,10 +88,6 @@ class ModelConfig:
         return tuple(range(2, self.all_layers))
 
     @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
-    @property
     def n_exits(self) -> int:
         return 1 if self.variant == "V" else self.loop_count
 
@@ -711,19 +707,13 @@ def split_batch(fn, *arrays) -> tuple[list, list[int]]:
     return list(halves), [h, b - h]
 
 
-class _Slot:
-    __slots__ = ("k", "v", "filled")
-
-    def __init__(self, rows: int, d: int, dtype):
-        self.k = np.zeros((rows, d), dtype=dtype)
-        self.v = np.zeros((rows, d), dtype=dtype)
-        self.filled = 0
-
-
 class DecodeCache:
-    """Incremental decode's state: per-application K/V buffers, positionally
-    indexed (after row 0, the zero token's, where the application has one),
-    plus what `_walk` needs to deepen an early-exited position later:
+    """Incremental decode's state, which only `_walk` writes. Keys and
+    values sit in `k` and `v`, each (applications, t_max + 1, d) and
+    positionally indexed: with a zero token, row 0 holds its key and
+    position p is row p+1; without one, position p is row p and the last
+    row stays unused. `filled[i]` counts application i's filled position
+    rows. `_walk` needs the rest to deepen an early-exited position later:
     `h_mid[p]` is position p's hidden state after its last finished cycle
     and `depth[p]` counts its finished cycles (always 0 for V, which has
     none). `n_pos` positions are done; `cycles_used` lists their exits."""
@@ -734,22 +724,24 @@ class DecodeCache:
         self.schedule = build_schedule(config)
         dtype = params.dtype()
         d, tm = config.d_model, config.t_max
-        apps = self.schedule.applications
-        self.slots = [_Slot(tm + (app in params.pool), d, dtype) for app in apps]
+        shape = (len(self.schedule.applications), tm + 1, d)
+        self.k = np.zeros(shape, dtype=dtype)
+        self.v = np.zeros(shape, dtype=dtype)
+        self.filled = np.zeros(shape[0], dtype=np.int64)
         self.h_mid = np.zeros((tm, d), dtype=dtype)
         self.depth = np.zeros(tm, dtype=np.int64)
         self.n_pos = 0
         self.cycles_used: list[int] = []
 
     def rows(self, idx: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Application `idx`'s (keys, values) buffers, (1, rows, d), for a
-        query at position `start`, whose row is then filled. UsageError
-        unless every earlier position's row is."""
-        slot = self.slots[idx]
-        if slot.filled < start:
-            raise UsageError(f"cache prefix incomplete at slot {idx}: {slot.filled} < {start}")
-        slot.filled = max(slot.filled, start + 1)
-        return slot.k[None], slot.v[None]
+        """Application `idx`'s (keys, values) buffers, (1, t_max + 1, d)
+        views, for a query at position `start`, whose row is then filled.
+        UsageError unless every earlier position's row is."""
+        filled = self.filled.item(idx)  # a Python int: cheaper to compare than a numpy scalar
+        if filled < start:
+            raise UsageError(f"cache prefix incomplete at application {idx}: {filled} < {start}")
+        self.filled[idx] = max(filled, start + 1)
+        return self.k[idx : idx + 1], self.v[idx : idx + 1]
 
 
 def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
@@ -760,17 +752,22 @@ def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
     the gathered logits and exit_at, or None; per cycle, its zero-attention
     and gate arrays).
 
-    With a cache, each application reads and writes its K/V slot at the
-    position (`DecodeCache.rows`). Before cycle n the earlier positions are
-    deepened to n finished cycles, in position order, by the same
-    applications, so every attention read sees a complete prefix; after it
-    the position's state and depth are kept. Once the position exits the
-    walk stops, and the tail and LM head run once, on the exited state:
-    the last logits, with no gathered ones. So a tail slot row is written
-    once, at the position's exit, and never revised by later deepening.
+    With a cache the walk is the one writer of decode state. It refuses a
+    full context with `UsageError`. Each application reads and writes its
+    K/V rows at the position (`DecodeCache.rows`). Before cycle n the
+    earlier positions are deepened to n finished cycles, in position order,
+    by the same applications, so every attention read sees a complete
+    prefix; after it the position's state and depth are kept. Once the
+    position exits the walk stops, and the tail and LM head run once, on
+    the exited state: the last logits, with no gathered ones. So a tail row
+    is written once, at the position's exit, and never revised by later
+    deepening. Last, `n_pos` advances and the position's exit cycle is
+    appended to `cycles_used`.
     """
     schedule = build_schedule(config) if cache is None else cache.schedule
     pos = 0 if cache is None else cache.n_pos
+    if pos >= config.t_max:  # only with a cache
+        raise UsageError(f"context is full at t_max={config.t_max} positions")
 
     def apply(h: Tensor, idx: int, start: int = pos) -> tuple[Tensor, np.ndarray | None, np.ndarray | None]:
         layer, cycle = schedule.applications[idx]
@@ -819,7 +816,11 @@ def _walk(ids: np.ndarray, params: ModelParameters, config: ModelConfig,
             elif exiting.all():  # the tail runs once, below, on the exited state
                 break
     adaptive = None if h_exit is None else finish(Tensor(h_exit))  # before the final tail
-    return [*exits, finish(h)], adaptive, exit_at, zero_attn, gate
+    exits.append(finish(h))
+    if cache is not None:
+        cache.n_pos += 1
+        cache.cycles_used.append(config.n_exits if exit_at is None else int(exit_at[0, 0]))
+    return exits, adaptive, exit_at, zero_attn, gate
 
 
 def forward(

@@ -5,6 +5,7 @@ position order, every middle-cycle K/V entry equals the value a full batch
 forward would produce, so a batch pass plus a per-position tail
 (`exit_oracle.batch_oracle`) predicts every decode step.
 """
+import ast
 import json
 import math
 from pathlib import Path
@@ -25,6 +26,7 @@ from cycleformer.checkpoint import load_model
 from cycleformer.data import BOS_ID, ByteVocabulary
 from cycleformer.errors import ConfigError, ShapeError, UsageError
 from cycleformer.evaluate import evaluate
+import cycleformer
 from cycleformer import model
 from cycleformer.model import ModelConfig, build_schedule, forward, init_parameters
 
@@ -260,10 +262,10 @@ def test_depth_bookkeeping_and_slot_fill():
     depth = cache.depth[: cache.n_pos]
     for pos, used in enumerate(cache.cycles_used):
         assert depth[pos] >= used  # later positions may deepen, never shallow
-    for cycle, slots in cache.schedule.by_cycle.items():
+    for cycle, apps in cache.schedule.by_cycle.items():
         expect = int(np.sum(depth >= cycle))
-        for s in slots:
-            assert cache.slots[s].filled == expect
+        for s in apps:
+            assert cache.filled[s] == expect
 
 
 @pytest.mark.parametrize("threshold", [None, 1.0, "mixed"])
@@ -309,12 +311,12 @@ def test_tail_entries_never_revised():
     cache = DecodeCache(params, cfg)
     for tok in ids[:6]:
         decode_step(cache, int(tok), ExitPolicy(threshold=thr))
-    tail_slot = cache.slots[cache.schedule.post[0]]
-    k_before, v_before = tail_slot.k[:6].copy(), tail_slot.v[:6].copy()
+    tail = cache.schedule.post[0]
+    k_before, v_before = cache.k[tail, :6].copy(), cache.v[tail, :6].copy()
     for tok in ids[6:]:
         decode_step(cache, int(tok), ExitPolicy(threshold=thr))
-    np.testing.assert_array_equal(tail_slot.k[:6], k_before)
-    np.testing.assert_array_equal(tail_slot.v[:6], v_before)
+    np.testing.assert_array_equal(cache.k[tail, :6], k_before)
+    np.testing.assert_array_equal(cache.v[tail, :6], v_before)
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +383,63 @@ def test_generate_adaptive_reports_cycles_for_every_token():
     res = generate(params, cfg, [7, 7, 7], 3, policy=ExitPolicy(threshold=0.0))
     assert len(res.cycles_used) == 6
     assert all(c == 1 for c in res.cycles_used)  # threshold 0 exits at cycle 1
+
+
+# ---------------------------------------------------------------------------
+# one writer of decode state
+
+
+CACHE_FIELDS = {"n_pos", "cycles_used", "h_mid", "depth", "filled", "k", "v"}
+
+
+def _written_field(target) -> list[str]:
+    """The DecodeCache fields an assignment target writes: `x.f`, `x.f[...]`
+    (at any depth) and each element of a tuple or list target. A write
+    through `self` is the writing class's own field (AdamW's `self.v` is its
+    second moment), so it is not counted."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [f for elt in target.elts for f in _written_field(elt)]
+    if isinstance(target, ast.Starred):
+        return _written_field(target.value)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if (isinstance(target, ast.Attribute) and target.attr in CACHE_FIELDS
+            and not (isinstance(target.value, ast.Name) and target.value.id == "self")):
+        return [target.attr]
+    return []
+
+
+def cache_writes(source: str) -> list[tuple[int, str]]:
+    """(line, field) of every write of a DecodeCache field in a module's
+    source: assignment, augmented assignment, item assignment and
+    `.cycles_used.append`, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "append" and _written_field(node.func.value) == ["cycles_used"]):
+            targets = [node.func.value]
+        else:
+            continue
+        found += [(node.lineno, f) for t in targets for f in _written_field(t)]
+    return sorted(found)
+
+
+def test_cache_write_scan_counts_every_form():
+    source = ("c.n_pos += 1\nc.cycles_used.append(2)\nc.h_mid[p], c.depth[p] = h, n\n"
+              "c.filled[i] = 3\nc.k[0][1] = 0\nc.v: int = 1\nself.v[n] = 0\ny = c.k[0]\n")
+    assert cache_writes(source) == [(1, "n_pos"), (2, "cycles_used"), (3, "depth"), (3, "h_mid"),
+                                    (4, "filled"), (5, "k"), (6, "v")]
+
+
+def test_only_model_writes_decode_state():
+    """`model._walk` (with `DecodeCache` itself) is the one writer of decode
+    state, so a change to what decode keeps is made in one place."""
+    package = Path(cycleformer.__file__).parent
+    writes = {path.name: cache_writes(path.read_text()) for path in sorted(package.glob("*.py"))}
+    walker = writes.pop("model.py")
+    assert {name: found for name, found in writes.items() if found} == {}
+    assert {f for _, f in walker} == {"n_pos", "cycles_used", "h_mid", "depth"}  # the scan sees the walker
